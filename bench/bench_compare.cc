@@ -1,0 +1,173 @@
+/// \file bench_compare.cc
+/// \brief Regression gate for the micro-bench JSON files.
+///
+///     bench_compare <committed BENCH_x.json> <fresh BENCH_x.json>
+///
+/// Diffs a fresh `BENCH_<name>.json` (as written by `JsonReport`)
+/// against the committed one over a fixed list of dimensionless ratios —
+/// speedups and copy fractions, which carry across machines where raw
+/// seconds do not. Each gated metric has a direction and a relative
+/// tolerance: a higher-is-better metric regresses when the fresh value
+/// falls below `committed * (1 - tolerance)`, a lower-is-better one when
+/// it rises above `committed * (1 + tolerance)`.
+///
+/// Exit status: 0 when every gated metric holds, 1 when any regressed or
+/// is missing from the fresh file, 2 on a usage or parse error (or a
+/// bench with no gates, so a typo cannot pass silently).
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
+
+namespace {
+
+enum class Better { kHigher, kLower };
+
+struct Gate {
+  const char* bench;
+  const char* section;
+  const char* metric;
+  Better better;
+  double tolerance;
+};
+
+// Timing ratios get a wide tolerance: CI runners are noisy and differ
+// from the machine the committed file came from (five Release runs on
+// one 4-vCPU VM spread the 1-edge speedup over 163-237x and the 0.1%
+// one over 5.7-7.5x). Copy fractions are deterministic for a seeded
+// run, so theirs is tight.
+constexpr Gate kGates[] = {
+    {"snapshot_refresh", "delta_1_edge", "snapshot_speedup", Better::kHigher,
+     0.6},
+    {"snapshot_refresh", "delta_0.1pct", "snapshot_speedup", Better::kHigher,
+     0.6},
+    {"snapshot_refresh", "sharing_1_edge", "fraction_of_csr_bytes",
+     Better::kLower, 0.25},
+    {"snapshot_refresh", "sharing_0.1pct_clustered", "fraction_of_csr_bytes",
+     Better::kLower, 0.25},
+};
+
+struct BenchFile {
+  std::string bench;
+  std::map<std::pair<std::string, std::string>, double> values;
+};
+
+/// Reads the JSON string value following `"key":` at or after `*pos`.
+std::optional<std::string> StringField(const std::string& text,
+                                       const std::string& key, size_t* pos) {
+  size_t at = text.find("\"" + key + "\"", *pos);
+  if (at == std::string::npos) return std::nullopt;
+  at = text.find(':', at);
+  if (at == std::string::npos) return std::nullopt;
+  const size_t open = text.find('"', at + 1);
+  if (open == std::string::npos) return std::nullopt;
+  const size_t close = text.find('"', open + 1);
+  if (close == std::string::npos) return std::nullopt;
+  *pos = close + 1;
+  return text.substr(open + 1, close - open - 1);
+}
+
+/// Parses the fixed shape `JsonReport::Finish` writes: a "bench" name
+/// and a list of {"section", "metric", "value"} objects.
+std::optional<BenchFile> Load(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "bench_compare: cannot read %s\n", path.c_str());
+    return std::nullopt;
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  BenchFile file;
+  size_t pos = 0;
+  std::optional<std::string> bench = StringField(text, "bench", &pos);
+  if (!bench) {
+    std::fprintf(stderr, "bench_compare: %s has no \"bench\" name\n",
+                 path.c_str());
+    return std::nullopt;
+  }
+  file.bench = *bench;
+  while (true) {
+    std::optional<std::string> section = StringField(text, "section", &pos);
+    if (!section) break;
+    std::optional<std::string> metric = StringField(text, "metric", &pos);
+    size_t at = metric ? text.find("\"value\"", pos) : std::string::npos;
+    if (at != std::string::npos) at = text.find(':', at);
+    if (at == std::string::npos) {
+      std::fprintf(stderr, "bench_compare: %s: malformed entry in section %s\n",
+                   path.c_str(), section->c_str());
+      return std::nullopt;
+    }
+    const char* begin = text.c_str() + at + 1;
+    char* end = nullptr;
+    const double value = std::strtod(begin, &end);
+    if (end == begin) {
+      std::fprintf(stderr, "bench_compare: %s: bad value for %s/%s\n",
+                   path.c_str(), section->c_str(), metric->c_str());
+      return std::nullopt;
+    }
+    pos = static_cast<size_t>(end - text.c_str());
+    file.values[{*section, *metric}] = value;
+  }
+  return file;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc != 3) {
+    std::fprintf(stderr, "usage: %s <committed.json> <fresh.json>\n", argv[0]);
+    return 2;
+  }
+  std::optional<BenchFile> committed = Load(argv[1]);
+  std::optional<BenchFile> fresh = Load(argv[2]);
+  if (!committed || !fresh) return 2;
+  if (committed->bench != fresh->bench) {
+    std::fprintf(stderr, "bench_compare: comparing bench %s against %s\n",
+                 committed->bench.c_str(), fresh->bench.c_str());
+    return 2;
+  }
+
+  size_t gated = 0;
+  bool regressed = false;
+  std::printf("%-26s %-22s %12s %12s %12s  %s\n", "section", "metric",
+              "committed", "fresh", "limit", "verdict");
+  for (const Gate& gate : kGates) {
+    if (committed->bench != gate.bench) continue;
+    ++gated;
+    const std::pair<std::string, std::string> key{gate.section, gate.metric};
+    auto base = committed->values.find(key);
+    if (base == committed->values.end()) {
+      std::fprintf(stderr, "bench_compare: committed file lacks %s/%s\n",
+                   gate.section, gate.metric);
+      return 2;
+    }
+    const bool higher = gate.better == Better::kHigher;
+    const double limit = base->second * (higher ? 1.0 - gate.tolerance
+                                                : 1.0 + gate.tolerance);
+    auto now = fresh->values.find(key);
+    const char* verdict = "ok";
+    if (now == fresh->values.end()) {
+      verdict = "MISSING";
+      regressed = true;
+    } else if (higher ? now->second < limit : now->second > limit) {
+      verdict = "REGRESSED";
+      regressed = true;
+    }
+    std::printf("%-26s %-22s %12.4g %12.4g %12.4g  %s (%s is better)\n",
+                gate.section, gate.metric, base->second,
+                now == fresh->values.end() ? 0.0 : now->second, limit,
+                verdict, higher ? "higher" : "lower");
+  }
+  if (gated == 0) {
+    std::fprintf(stderr, "bench_compare: no gates for bench %s\n",
+                 committed->bench.c_str());
+    return 2;
+  }
+  return regressed ? 1 : 0;
+}

@@ -7,16 +7,18 @@
 /// `ApplyDelta` the catalog's topology snapshots are stale; the first
 /// query then pays snapshot production. With patching
 /// (`CsrGraph::PatchedFrom` through the catalog's delta trail) that cost
-/// is O(|delta|); with patching disabled (the PR-3 behavior) it is a
-/// full O(|V| + |E|) rebuild. We sweep delta sizes — a single edge,
-/// 0.1%, 1%, and 10% of |E| — over the social bench graph at 4x the
-/// usual scale, measuring per-mutation snapshot production and
-/// end-to-end mutation-to-first-query latency, and record the catalog's
-/// `snapshot_patches` / `snapshot_full_builds` counters so the JSON
-/// proves which path produced each number (at 10% the catalog cuts the
-/// delta trail at logging time — the batch exceeds the trail caps and
-/// the touched-vertex heuristic in `ViewCatalog::NoteBaseDelta` — so
-/// snapshot production takes the full-build path by design).
+/// is O(dirty vertices) plus a block copy of the dirty segments' clean
+/// rows; with patching disabled it is a full O(|V| + |E|) rebuild. We
+/// sweep delta sizes — a single edge, 0.1%, 1%, and 10% of |E| — over
+/// the social bench graph at 4x the usual scale, measuring per-mutation
+/// snapshot production and end-to-end mutation-to-first-query latency,
+/// and record the catalog's `snapshot_patches` / `snapshot_full_builds`
+/// counters so the JSON proves which path produced each number (at 10%
+/// the batch's removals exceed the trail cap in
+/// `ViewCatalog::NoteBaseDelta`, so the catalog cuts the delta trail
+/// and snapshot production takes the full-build path by design). A
+/// second table times `PatchedFrom` against `Build` directly, below the
+/// catalog, so the 10% row shows where patching would stop paying.
 ///
 /// `--json[=path]` additionally writes BENCH_snapshot_refresh.json.
 
@@ -48,9 +50,9 @@ using kaskade::graph::VertexId;
 /// Social graph scaled for this bench: ~60k vertices at average degree
 /// ~6 (the Zipf fan-out multiplies the nominal edges_per_vertex). Large
 /// enough that a full snapshot rebuild visibly dwarfs an O(|delta|)
-/// patch, sparse enough that a 1%-of-|E| delta dirties well under the
-/// patch threshold's fraction of vertices (2 * |E|/100 endpoints vs
-/// 0.2 * |V|), and still quick enough for the CI smoke job.
+/// patch, sparse enough that the delta sizes span 0-50% dirty vertices
+/// (the 10% delta's ~44k endpoints dirty about half of the 60k), and
+/// still quick enough for the CI smoke job.
 PropertyGraph RefreshBenchGraph() {
   kaskade::datasets::SocialOptions options;
   options.num_vertices = 60000;
@@ -64,6 +66,34 @@ PropertyGraph RefreshBenchGraph() {
 const char* kFirstQuery =
     "MATCH (a:Person)-[:FOLLOWS]->(b:Person) "
     "WHERE a.handle = 'person_4242' RETURN a, b";
+
+/// `removals` random removals from `live` (which drops them) plus
+/// `inserts` FOLLOWS edges between random ids below `span`.
+GraphDelta RandomDelta(std::mt19937_64& rng, std::vector<EdgeId>& live,
+                       size_t removals, size_t inserts, size_t span) {
+  GraphDelta delta;
+  for (size_t i = 0; i < removals && !live.empty(); ++i) {
+    size_t slot = rng() % live.size();
+    delta.RemoveEdge(live[slot]);
+    live[slot] = live.back();
+    live.pop_back();
+  }
+  for (size_t i = 0; i < inserts; ++i) {
+    VertexId src = static_cast<VertexId>(rng() % span);
+    VertexId dst = static_cast<VertexId>(rng() % span);
+    if (src == dst) dst = (dst + 1) % span;
+    delta.AddEdge(src, dst, "FOLLOWS", {});
+  }
+  return delta;
+}
+
+/// Every edge id of `graph`, as the initial removable set.
+std::vector<EdgeId> AllEdges(const PropertyGraph& graph) {
+  std::vector<EdgeId> live;
+  live.reserve(graph.NumEdges());
+  for (EdgeId e = 0; e < graph.NumEdges(); ++e) live.push_back(e);
+  return live;
+}
 
 struct ModeResult {
   double snapshot_seconds = 0;      // min over iterations (noise floor)
@@ -80,14 +110,11 @@ struct ModeResult {
 ModeResult RunMode(const PropertyGraph& graph, bool patching,
                    size_t delta_edges, int iterations) {
   EngineOptions options;
-  if (!patching) options.snapshot_patch.max_dirty_fraction = 0.0;
+  options.snapshot_patching = patching;
   Engine engine(PropertyGraph(graph), options);
 
   std::mt19937_64 rng(1234);
-  std::vector<EdgeId> live;
-  live.reserve(graph.NumEdges());
-  for (EdgeId e = 0; e < graph.NumEdges(); ++e) live.push_back(e);
-  const size_t num_people = graph.NumVertices();
+  std::vector<EdgeId> live = AllEdges(graph);
 
   // Warm: steady-state serving has a current snapshot before the
   // mutation arrives.
@@ -97,21 +124,9 @@ ModeResult RunMode(const PropertyGraph& graph, bool patching,
 
   ModeResult result;
   for (int it = 0; it < iterations; ++it) {
-    GraphDelta delta;
-    const size_t removals = delta_edges / 2;
-    const size_t inserts = delta_edges - removals;
-    for (size_t i = 0; i < removals && !live.empty(); ++i) {
-      size_t slot = rng() % live.size();
-      delta.RemoveEdge(live[slot]);
-      live[slot] = live.back();
-      live.pop_back();
-    }
-    for (size_t i = 0; i < inserts; ++i) {
-      VertexId src = static_cast<VertexId>(rng() % num_people);
-      VertexId dst = static_cast<VertexId>(rng() % num_people);
-      if (src == dst) dst = (dst + 1) % num_people;
-      delta.AddEdge(src, dst, "FOLLOWS", {});
-    }
+    GraphDelta delta = RandomDelta(rng, live, delta_edges / 2,
+                                   delta_edges - delta_edges / 2,
+                                   graph.NumVertices());
 
     double snapshot_seconds = 0;
     double query_seconds = 0;
@@ -166,10 +181,7 @@ SharingResult RunSharingMode(const PropertyGraph& graph, size_t delta_edges,
   // Clustered runs only remove edges they inserted (endpoints stay in
   // the window); uniform runs may remove any pre-existing edge.
   std::vector<EdgeId> live;
-  if (!clustered) {
-    live.reserve(graph.NumEdges());
-    for (EdgeId e = 0; e < graph.NumEdges(); ++e) live.push_back(e);
-  }
+  if (!clustered) live = AllEdges(graph);
 
   OrDie(engine.Execute(kFirstQuery).status(), "warm query");
   const uint64_t bytes_before = engine.catalog().patch_bytes_copied();
@@ -179,22 +191,10 @@ SharingResult RunSharingMode(const PropertyGraph& graph, size_t delta_edges,
   const size_t full_before = engine.catalog().snapshot_full_builds();
 
   for (int it = 0; it < iterations; ++it) {
-    GraphDelta delta;
     const size_t removals = live.size() > 16 ? delta_edges / 2 : 0;
-    const size_t inserts = delta_edges - removals;
-    for (size_t i = 0; i < removals && !live.empty(); ++i) {
-      size_t slot = rng() % live.size();
-      delta.RemoveEdge(live[slot]);
-      live[slot] = live.back();
-      live.pop_back();
-    }
-    const size_t span = clustered ? window : num_people;
-    for (size_t i = 0; i < inserts; ++i) {
-      VertexId src = static_cast<VertexId>(rng() % span);
-      VertexId dst = static_cast<VertexId>(rng() % span);
-      if (src == dst) dst = (dst + 1) % span;
-      delta.AddEdge(src, dst, "FOLLOWS", {});
-    }
+    GraphDelta delta =
+        RandomDelta(rng, live, removals, delta_edges - removals,
+                    clustered ? window : num_people);
     auto report = OrDie(engine.ApplyDelta(std::move(delta)), "ApplyDelta");
     for (EdgeId e : report.new_edges) live.push_back(e);
     (void)engine.catalog().BaseSnapshot();
@@ -210,6 +210,53 @@ SharingResult RunSharingMode(const PropertyGraph& graph, size_t delta_edges,
       double(engine.catalog().patch_segments_copied() - copied_before) / n;
   result.segs_shared_per_patch =
       double(engine.catalog().patch_segments_shared() - shared_before) / n;
+  return result;
+}
+
+struct DirectResult {
+  double patch_seconds = 0;    // min over iterations
+  double rebuild_seconds = 0;  // min over iterations
+  double dirty_fraction = 0;   // mean dirty vertices / |V|
+  bool rederived_equals_dirty = true;
+};
+
+/// Patch-vs-rebuild crossover, below the catalog: `CsrGraph::PatchedFrom`
+/// (no trail caps, so the 10% row patches too) against `CsrGraph::Build`
+/// of the same post-delta graph, for the same uniform deltas as the
+/// end-to-end table. This is the measurement behind patching having no
+/// dirty-fraction fallback.
+DirectResult RunDirectPatch(const PropertyGraph& graph, size_t delta_edges,
+                            int iterations) {
+  using kaskade::graph::CsrGraph;
+  PropertyGraph g(graph);
+  std::mt19937_64 rng(1234);
+  std::vector<EdgeId> live = AllEdges(g);
+  CsrGraph prev = CsrGraph::Build(g);
+  DirectResult result;
+  for (int it = 0; it < iterations; ++it) {
+    GraphDelta delta = RandomDelta(rng, live, delta_edges / 2,
+                                   delta_edges - delta_edges / 2,
+                                   g.NumVertices());
+    auto applied = OrDie(kaskade::graph::ApplyDeltaToGraph(&g, delta),
+                         "ApplyDeltaToGraph");
+    for (EdgeId e : applied.new_edges) live.push_back(e);
+    kaskade::graph::CsrPatchStats stats;
+    CsrGraph next;
+    const double patch = TimeSeconds([&] {
+      next = CsrGraph::PatchedFrom(prev, g, delta, &stats);
+    });
+    const double rebuild =
+        TimeSeconds([&] { (void)CsrGraph::Build(g); });
+    result.patch_seconds =
+        it == 0 ? patch : std::min(result.patch_seconds, patch);
+    result.rebuild_seconds =
+        it == 0 ? rebuild : std::min(result.rebuild_seconds, rebuild);
+    result.dirty_fraction +=
+        double(stats.dirty_vertices) / double(g.NumVertices()) / iterations;
+    result.rederived_equals_dirty &=
+        !stats.full_rebuild && stats.vertices_rederived == stats.dirty_vertices;
+    prev = std::move(next);
+  }
   return result;
 }
 
@@ -277,9 +324,35 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nnote: at 10%% the catalog cuts the delta trail at logging time\n"
-      "(trail caps + touched-vertex heuristic in NoteBaseDelta), so the\n"
-      "next snapshot takes the full-build path by design — the telemetry\n"
-      "columns prove which path produced each row.\n");
+      "(the removal cap in NoteBaseDelta), so the next snapshot takes the\n"
+      "full-build path by design — the telemetry columns prove which path\n"
+      "produced each row.\n");
+
+  // ---- Direct patch path: does patching ever stop paying? ------------
+  PrintHeader("direct patch path: PatchedFrom vs Build (no trail caps)");
+  std::printf("%-14s %10s %10s %14s %14s %9s\n", "delta", "|delta|",
+              "dirty_frac", "patch_s", "rebuild_s", "speedup");
+  bool direct_ok = true;
+  for (const DeltaSize& size : kSizes) {
+    DirectResult r = RunDirectPatch(graph, size.edges, kIterations);
+    const double speedup =
+        r.patch_seconds > 0 ? r.rebuild_seconds / r.patch_seconds : 0;
+    std::printf("%-14s %10zu %10.3f %14.6f %14.6f %8.1fx\n", size.label,
+                size.edges, r.dirty_fraction, r.patch_seconds,
+                r.rebuild_seconds, speedup);
+    const std::string section = std::string("direct_") + size.label;
+    JsonReport::Record(section, "delta_edges", double(size.edges));
+    JsonReport::Record(section, "dirty_vertex_fraction", r.dirty_fraction);
+    JsonReport::Record(section, "patch_seconds", r.patch_seconds);
+    JsonReport::Record(section, "rebuild_seconds", r.rebuild_seconds);
+    JsonReport::Record(section, "patch_speedup", speedup);
+    if (!r.rederived_equals_dirty) {
+      std::printf("FAIL: %s re-derived a row count other than its dirty "
+                  "vertex count\n", section.c_str());
+      direct_ok = false;
+    }
+  }
+  if (!direct_ok) return 1;
 
   // ---- Segment sharing: patch bytes vs full-CSR bytes -----------------
   // PR 5's patch path rewrote the whole CSR arrays every time, so its

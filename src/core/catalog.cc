@@ -96,20 +96,8 @@ void ViewCatalog::NoteBaseDelta(const graph::DeltaFootprintPtr& delta) {
   if (it == snapshots_.end()) return;  // nothing cached; nothing to patch
   SnapshotSlot& slot = it->second;
   if (!slot.patchable) return;
-  // Heuristic early cut: a batch whose touched-vertex bound alone
-  // dwarfs the dirty budget will almost certainly hit PatchedFrom's
-  // dirty-fraction fallback — don't grow the trail for it. The bound
-  // overcounts repeated endpoints, so the 2x slack keeps skewed (hubby)
-  // batches on the patch path; a false cut only costs one correct full
-  // rebuild.
-  // (A patchable slot implies patching is enabled — SnapshotOf only
-  // publishes patchable slots when it is.)
-  const double dirty_budget =
-      effective_max_dirty_fraction() *
-      static_cast<double>(base_->NumVertices());
   if (slot.trail_batches >= kMaxTrailBatches ||
-      slot.trail_removals + delta->edge_removals.size() > kMaxTrailRemovals ||
-      static_cast<double>(delta->TouchedVertexBound()) > 2.0 * dirty_budget) {
+      slot.trail_removals + delta->edge_removals.size() > kMaxTrailRemovals) {
     slot.patchable = false;
     slot.csr.reset();
     slot.base_trail.clear();
@@ -532,40 +520,6 @@ std::vector<const CatalogEntry*> ViewCatalog::Entries() const {
   return out;
 }
 
-void ViewCatalog::ObservePatch(const graph::CsrPatchStats& stats) const {
-  patch_segments_copied_.fetch_add(stats.segments_copied,
-                                   std::memory_order_relaxed);
-  patch_segments_shared_.fetch_add(stats.segments_shared,
-                                   std::memory_order_relaxed);
-  patch_bytes_copied_.fetch_add(stats.bytes_copied,
-                                std::memory_order_relaxed);
-  if (!patch_options_.enabled()) return;
-  // Auto-tune the effective dirty-fraction threshold from what patches
-  // actually cost — segments copied, not vertices dirtied. While the
-  // copy-fraction EWMA stays low, patches are cheap even well past the
-  // configured vertex budget (clean segments are refcount shares), so
-  // the threshold climbs; when patches approach copying the whole
-  // segment set they are no cheaper than rebuilds and it falls back
-  // toward the configured floor. The configured value is a floor, not
-  // a setting the tuner can undercut, so tightly-tuned callers only
-  // ever see patching become *more* willing.
-  const double ratio =
-      stats.total_segments > 0
-          ? static_cast<double>(stats.segments_copied) /
-                static_cast<double>(stats.total_segments)
-          : 1.0;
-  std::lock_guard<std::mutex> lock(tune_mu_);
-  copy_ratio_ewma_ = 0.8 * copy_ratio_ewma_ + 0.2 * ratio;
-  const double floor = patch_options_.max_dirty_fraction;
-  if (!stats.full_rebuild && copy_ratio_ewma_ < 0.5) {
-    effective_dirty_fraction_ =
-        std::min(0.95, std::max(effective_dirty_fraction_ * 1.25, floor));
-  } else if (copy_ratio_ewma_ > 0.9) {
-    effective_dirty_fraction_ =
-        std::max(floor, effective_dirty_fraction_ * 0.8);
-  }
-}
-
 std::shared_ptr<const graph::CsrGraph> ViewCatalog::SnapshotOf(
     ViewHandle handle, const graph::PropertyGraph& g) const {
   // The caller excludes concurrent catalog/base mutation (Engine reader
@@ -655,16 +609,18 @@ std::shared_ptr<const graph::CsrGraph> ViewCatalog::SnapshotOf(
   std::shared_ptr<const graph::CsrGraph> built;
   bool patched = false;
   if (patch) {
-    // O(|delta|) path: derive the next snapshot from the previous one
-    // through the merged trail (falls back internally past the dirty
-    // threshold).
+    // O(dirty vertices) path: derive the next snapshot from the previous
+    // one through the merged trail.
     graph::CsrPatchStats patch_stats;
-    graph::CsrPatchOptions effective = patch_options_;
-    effective.max_dirty_fraction = effective_max_dirty_fraction();
-    built = std::make_shared<const graph::CsrGraph>(graph::CsrGraph::PatchedFrom(
-        *prev, g, removals, effective, &patch_stats));
+    built = std::make_shared<const graph::CsrGraph>(
+        graph::CsrGraph::PatchedFrom(*prev, g, removals, &patch_stats));
     patched = !patch_stats.full_rebuild;
-    ObservePatch(patch_stats);
+    patch_segments_copied_.fetch_add(patch_stats.segments_copied,
+                                     std::memory_order_relaxed);
+    patch_segments_shared_.fetch_add(patch_stats.segments_shared,
+                                     std::memory_order_relaxed);
+    patch_bytes_copied_.fetch_add(patch_stats.bytes_copied,
+                                  std::memory_order_relaxed);
   } else {
     built =
         std::make_shared<const graph::CsrGraph>(graph::CsrGraph::Build(g));
@@ -678,7 +634,7 @@ std::shared_ptr<const graph::CsrGraph> ViewCatalog::SnapshotOf(
   slot.csr = std::move(built);
   slot.csr_generation = gen;
   slot.head_generation = gen;
-  slot.patchable = patch_options_.enabled();
+  slot.patchable = snapshot_patching_;
   slot.trail_batches = slot.trail_removals = 0;
   slot.base_trail.clear();
   slot.view_removals.clear();

@@ -131,18 +131,15 @@ class ViewCatalog {
  public:
   /// Binds to the base graph the views are materialized from. The graph
   /// must outlive the catalog and must not move (maintainers hold
-  /// pointers to it). `patch_options` tunes incremental CSR snapshot
-  /// production (`max_dirty_fraction = 0` disables patching: every
-  /// snapshot miss is a full rebuild). `shards >= 2` routes base-graph
-  /// snapshot production through a per-shard `SegmentStore` pipeline
-  /// (see segment_store.h); 1 keeps the single-slot path, byte-identical
-  /// to previous behavior.
+  /// pointers to it). `snapshot_patching` switches incremental CSR
+  /// snapshot production (false: every snapshot miss is a full
+  /// rebuild). `shards >= 2` routes base-graph snapshot production
+  /// through a per-shard `SegmentStore` pipeline (see segment_store.h);
+  /// 1 keeps the single-slot path, byte-identical to previous behavior.
   explicit ViewCatalog(const graph::PropertyGraph* base,
-                       graph::CsrPatchOptions patch_options = {},
-                       size_t shards = 1)
+                       bool snapshot_patching = true, size_t shards = 1)
       : base_(base),
-        patch_options_(patch_options),
-        effective_dirty_fraction_(patch_options.max_dirty_fraction),
+        snapshot_patching_(snapshot_patching),
         store_(shards >= 2 ? std::make_unique<SegmentStore>(base, shards)
                            : nullptr) {}
 
@@ -278,8 +275,7 @@ class ViewCatalog {
   /// `CsrGraph::PatchedFrom`. The patch path falls back to a full
   /// rebuild when the trail was truncated or bypassed (out-of-band
   /// mutation, view rematerialization, generation moved without trail
-  /// coverage) or when the dirty fraction exceeds
-  /// `CsrPatchOptions::max_dirty_fraction`. Telemetry splits the two:
+  /// coverage). Telemetry splits the two:
   /// `snapshot_builds() == snapshot_patches() + snapshot_full_builds()`.
   ///
   /// Callers must hold off concurrent mutation of the underlying graphs
@@ -310,15 +306,11 @@ class ViewCatalog {
     return snapshot_patches_.load(std::memory_order_relaxed);
   }
   /// Snapshots built from scratch (first build, truncated trail,
-  /// rematerialized view, or dirty-fraction fallback).
+  /// rematerialized view, or patching switched off).
   size_t snapshot_full_builds() const {
     return snapshot_full_builds_.load(std::memory_order_relaxed);
   }
   /// @}
-
-  const graph::CsrPatchOptions& patch_options() const {
-    return patch_options_;
-  }
 
   /// \name Segment-level patch telemetry.
   ///
@@ -354,21 +346,6 @@ class ViewCatalog {
   std::vector<uint64_t> shard_writer_acquisitions() const {
     return store_ != nullptr ? store_->writer_acquisitions()
                              : std::vector<uint64_t>{};
-  }
-
-  /// The dirty-fraction threshold the patch path currently runs with.
-  /// Starts at `patch_options().max_dirty_fraction` (the configured
-  /// floor) and is auto-tuned upward — never below the floor, never
-  /// above 0.95 — from observed patch cost: segments make the cost
-  /// model sharp, so the tuner raises the threshold while patches keep
-  /// copying well under the full segment set (a "dirty" patch is then
-  /// still cheap — dirty segments rebuild through the same
-  /// `BuildSegment` code a full rebuild would run, clean ones are
-  /// free), and backs off toward the floor when patches approach
-  /// full-rebuild cost.
-  double effective_max_dirty_fraction() const {
-    std::lock_guard<std::mutex> lock(tune_mu_);
-    return effective_dirty_fraction_;
   }
 
   /// Installs the fault-injection hook for the sites the catalog owns
@@ -429,7 +406,7 @@ class ViewCatalog {
   void BumpGeneration();
 
   /// Records one applied base batch on the base slot's trail (or cuts
-  /// the trail when the batch alone exceeds the patch budget).
+  /// the trail when it would outgrow its caps).
   void NoteBaseDelta(const graph::DeltaFootprintPtr& footprint);
 
   /// Records the view edges `handle`'s maintainer tombstoned for one
@@ -445,12 +422,8 @@ class ViewCatalog {
   /// Quarantine with `mu_` already held exclusively.
   void QuarantineLocked(CatalogEntry* entry, Status reason);
 
-  /// Feeds one `PatchedFrom` outcome into the segment telemetry totals
-  /// and the dirty-fraction auto-tuner.
-  void ObservePatch(const graph::CsrPatchStats& stats) const;
-
   const graph::PropertyGraph* base_;
-  graph::CsrPatchOptions patch_options_;
+  const bool snapshot_patching_;
   mutable std::shared_mutex mu_;
   /// unique_ptr: entries are pointer-stable and individually droppable.
   std::vector<std::unique_ptr<CatalogEntry>> entries_;
@@ -469,12 +442,6 @@ class ViewCatalog {
   mutable std::atomic<uint64_t> patch_segments_copied_{0};
   mutable std::atomic<uint64_t> patch_segments_shared_{0};
   mutable std::atomic<uint64_t> patch_bytes_copied_{0};
-  /// Auto-tuner state (see `effective_max_dirty_fraction`). Guarded by
-  /// its own mutex: updated on the reader path after each patch.
-  mutable std::mutex tune_mu_;
-  mutable double effective_dirty_fraction_;
-  /// EWMA of the per-patch copied-segment fraction, seeded pessimistic.
-  mutable double copy_ratio_ewma_ = 1.0;
   /// Per-shard base-snapshot pipeline; null when `shards == 1`.
   std::unique_ptr<SegmentStore> store_;
   std::atomic<size_t> quarantine_events_{0};

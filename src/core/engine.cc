@@ -68,7 +68,7 @@ Engine::Engine(graph::PropertyGraph base_graph, EngineOptions options,
                std::optional<DurableBootstrap> bootstrap)
     : base_(std::move(base_graph)),
       options_(options),
-      catalog_(&base_, options.snapshot_patch, options.shards),
+      catalog_(&base_, options.snapshot_patching, options.shards),
       planner_(MakePlannerOptions(options)) {
   // The MATCH backends shard their seed scatter on the same boundaries
   // the snapshot pipeline shards on; one knob drives both layers.
@@ -640,7 +640,6 @@ EngineTelemetry Engine::TelemetrySnapshot() const {
   t.patch_segments_copied = catalog_.patch_segments_copied();
   t.patch_segments_shared = catalog_.patch_segments_shared();
   t.patch_bytes_copied = catalog_.patch_bytes_copied();
-  t.effective_dirty_fraction = catalog_.effective_max_dirty_fraction();
   t.shard_writer_acquisitions = catalog_.shard_writer_acquisitions();
   if (wal_ != nullptr) {
     durability::WalTelemetry wal = wal_->telemetry();

@@ -1,5 +1,6 @@
 #include "core/segment_store.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace kaskade::core {
@@ -23,6 +24,9 @@ void SegmentStore::SyncShape() {
     segments_.resize(num_segs);
     seg_dirty_.resize(num_segs, 1);
   }
+  // Appended vertices need no flag: rows past a segment's previous end
+  // are always re-derived (`CsrGraph::PatchSegment`).
+  vertex_dirty_.resize(n, 0);
   vertices_seen_ = n;
   edges_seen_ = base_->NumEdges();
 }
@@ -56,6 +60,7 @@ void SegmentStore::NoteDelta(const graph::DeltaFootprintPtr& delta) {
   auto mark = [&](graph::VertexId v) {
     const size_t s = graph::CsrSegmentOf(v);
     if (s < num_segs) seg_dirty_[s] = 1;
+    if (v < n) vertex_dirty_[v] = 1;
   };
   if (n != prev_vertices && (prev_vertices >> graph::kCsrSegmentShift) <
                                 num_segs) {
@@ -120,21 +125,34 @@ std::shared_ptr<const graph::CsrGraph> SegmentStore::Snapshot(
     uint64_t shard_copied = 0;
     uint64_t shard_shared = 0;
     uint64_t bytes = 0;
+    size_t rederived = 0;
     for (size_t seg = s; seg < num_segs; seg += k) {
-      if (all || seg_dirty_[seg] != 0 || segments_[seg] == nullptr) {
-        segments_[seg] = graph::CsrGraph::BuildSegment(*base_, seg);
-        seg_dirty_[seg] = 0;
-        ++shard_copied;
-        bytes += segments_[seg]->ByteSize();
-      } else {
+      if (!all && seg_dirty_[seg] == 0 && segments_[seg] != nullptr) {
         ++shard_shared;
+        continue;
       }
+      const size_t first = seg << graph::kCsrSegmentShift;
+      uint8_t* dirty = vertex_dirty_.data() + first;
+      if (all || segments_[seg] == nullptr) {
+        segments_[seg] = graph::CsrGraph::BuildSegment(*base_, seg);
+        rederived += segments_[seg]->num_vertices;
+      } else {
+        // Same routine as the unsharded `PatchedFrom`: clean rows
+        // block-copied, dirty and appended rows re-derived.
+        segments_[seg] = graph::CsrGraph::PatchSegment(*segments_[seg], *base_,
+                                                      seg, dirty, &rederived);
+      }
+      std::fill(dirty, dirty + segments_[seg]->num_vertices, uint8_t{0});
+      seg_dirty_[seg] = 0;
+      ++shard_copied;
+      bytes += segments_[seg]->ByteSize();
     }
     copied += shard_copied;
     shared += shard_shared;
     segments_copied_.fetch_add(shard_copied, std::memory_order_relaxed);
     segments_shared_.fetch_add(shard_shared, std::memory_order_relaxed);
     bytes_copied_.fetch_add(bytes, std::memory_order_relaxed);
+    vertices_rederived_.fetch_add(rederived, std::memory_order_relaxed);
     shard.version.store(version, std::memory_order_release);
   }
   // Every shard is stamped `version` (the acquire loads above order the

@@ -10,11 +10,13 @@
 ///
 ///  - the segment slots for its segments,
 ///  - a writer mutex serializing refreshes of *that shard only*, and
-///  - a dirty-segment set fed by `NoteDelta` with O(|delta|) work.
+///  - dirty-segment and dirty-vertex sets fed by `NoteDelta` with
+///    O(|delta|) work.
 ///
 /// Snapshot production is then per-shard incremental: a stale shard
-/// rebuilds only its dirty segments (via `CsrGraph::BuildSegment`, the
-/// same routine `CsrGraph::Build` uses — so the assembled snapshot is
+/// patches only its dirty segments (via `CsrGraph::PatchSegment`, the
+/// routine the unsharded `CsrGraph::PatchedFrom` uses: clean rows
+/// block-copied, dirty rows re-derived — so the assembled snapshot is
 /// byte-identical to a fresh build by construction) and shares every
 /// clean segment with the previous generation by refcount. Concurrent
 /// readers refreshing *different* shards proceed in parallel; only
@@ -60,10 +62,10 @@ class SegmentStore {
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
 
-  /// Records one applied base batch: marks the segments of every
-  /// removal endpoint and every appended edge's endpoints dirty in
-  /// their owning shards — O(|delta|), independent of |E|. A null
-  /// footprint (out-of-band mutation) marks every shard for a full
+  /// Records one applied base batch: marks every removal endpoint and
+  /// every appended edge's endpoints dirty, together with their
+  /// segments in the owning shards — O(|delta|), independent of |E|. A
+  /// null footprint (out-of-band mutation) marks every shard for a full
   /// per-shard rebuild. Engine writer lock required.
   void NoteDelta(const graph::DeltaFootprintPtr& delta);
 
@@ -74,7 +76,7 @@ class SegmentStore {
 
   /// Returns the snapshot for the current graph state, stamped
   /// `version` (the catalog generation). Stale shards are refreshed
-  /// under their own writer locks — dirty segments rebuilt, clean ones
+  /// under their own writer locks — dirty segments patched, clean ones
   /// shared — then the per-shard segment tables are assembled into one
   /// `CsrGraph` and cached by version. Engine reader lock required.
   std::shared_ptr<const graph::CsrGraph> Snapshot(
@@ -92,6 +94,11 @@ class SegmentStore {
   }
   uint64_t bytes_copied() const {
     return bytes_copied_.load(std::memory_order_relaxed);
+  }
+  /// Vertex rows re-derived from adjacency (the rest of every written
+  /// segment was block-copied from its previous version).
+  uint64_t vertices_rederived() const {
+    return vertices_rederived_.load(std::memory_order_relaxed);
   }
   /// Writer-lock acquisitions per shard (index = shard).
   std::vector<uint64_t> writer_acquisitions() const;
@@ -135,6 +142,10 @@ class SegmentStore {
   /// cleared by the owning shard's refresh (shard lock). Distinct bytes
   /// are distinct memory locations, so cross-shard clears don't race.
   mutable std::vector<uint8_t> seg_dirty_;
+  /// Dirty flags, indexed by vertex, under the same discipline as
+  /// `seg_dirty_`: a flagged vertex's segment is flagged too, and the
+  /// segment's refresh clears its vertices' flags.
+  mutable std::vector<uint8_t> vertex_dirty_;
 
   /// Graph shape at the last `NoteDelta`/`NoteChanged`, for discovering
   /// appended vertices/edges from id-space growth (no log needed).
@@ -149,6 +160,7 @@ class SegmentStore {
   mutable std::atomic<uint64_t> segments_copied_{0};
   mutable std::atomic<uint64_t> segments_shared_{0};
   mutable std::atomic<uint64_t> bytes_copied_{0};
+  mutable std::atomic<uint64_t> vertices_rederived_{0};
 };
 
 }  // namespace kaskade::core

@@ -4,6 +4,7 @@
 #include <deque>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 
 namespace kaskade::graph {
 
@@ -12,6 +13,178 @@ namespace {
 template <typename V>
 size_t VectorBytes(const V& v) {
   return v.size() * sizeof(typename V::value_type);
+}
+
+/// One slice entry: the canonical per-vertex order is
+/// (edge type, neighbor, edge id) — grouped by type so a typed
+/// expansion is one contiguous slice, sorted by neighbor within the
+/// type so filter edges (cycle closings) resolve by binary search,
+/// base insertion order surviving within (type, neighbor) because edge
+/// ids are distinct and ascend in insertion order.
+struct SliceEntry {
+  EdgeTypeId type;
+  VertexId nbr;
+  EdgeId id;
+};
+
+/// One side's arrays of a segment as member pointers: `kOut` selects
+/// the out-adjacency, else the in-adjacency (which keeps no per-edge
+/// types). Resolved at compile time, so the row writers below address
+/// fixed fields of one segment object; a writer that picked its arrays
+/// at run time made `Build` about 10% slower.
+template <bool kOut>
+struct Side {
+  static constexpr auto offsets =
+      kOut ? &CsrSegment::out_offsets : &CsrSegment::in_offsets;
+  static constexpr auto neighbors =
+      kOut ? &CsrSegment::out_targets : &CsrSegment::in_sources;
+  static constexpr auto edge_ids =
+      kOut ? &CsrSegment::out_edge_ids : &CsrSegment::in_edge_ids;
+  static constexpr auto dir_offsets =
+      kOut ? &CsrSegment::out_type_dir_offsets
+           : &CsrSegment::in_type_dir_offsets;
+  static constexpr auto dirs =
+      kOut ? &CsrSegment::out_type_dirs : &CsrSegment::in_type_dirs;
+};
+
+/// A segment for vertex ids `[seg_index << kCsrSegmentShift, ...)` of
+/// `g`, with its vertex types set and its offset arrays sized; the
+/// slices are left for `BuildSide` / `PatchSide` to fill.
+std::shared_ptr<CsrSegment> NewSegment(const PropertyGraph& g,
+                                       size_t seg_index) {
+  auto seg = std::make_shared<CsrSegment>();
+  const VertexId first = static_cast<VertexId>(seg_index << kCsrSegmentShift);
+  const uint32_t count = static_cast<uint32_t>(
+      std::min<size_t>(g.NumVertices() - first, kCsrSegmentVertices));
+  seg->first_vertex = first;
+  seg->num_vertices = count;
+  seg->vertex_types.resize(count);
+  for (uint32_t l = 0; l < count; ++l) {
+    seg->vertex_types[l] = g.VertexType(first + l);
+  }
+  seg->out_offsets.assign(count + 1, 0);
+  seg->out_type_dir_offsets.assign(count + 1, 0);
+  seg->in_offsets.assign(count + 1, 0);
+  seg->in_type_dir_offsets.assign(count + 1, 0);
+  return seg;
+}
+
+/// Re-derives local row `l` of one side of `seg` from the graph's
+/// adjacency, appending to that side's arrays — so rows must be written
+/// in ascending `l`. `BuildSegment` and `PatchSegment` derive every row
+/// through here, and a row `CopyRows` copies is a row this wrote
+/// earlier, so every row holds the same bytes whichever routine
+/// produced the segment. `entries` is scratch reused across rows.
+template <bool kOut>
+void DeriveRow(const PropertyGraph& g, CsrSegment& seg, uint32_t l,
+               std::vector<SliceEntry>& entries) {
+  using S = Side<kOut>;
+  const VertexId v = seg.first_vertex + l;
+  // Live edges only; dead vertices have empty adjacency, so they keep
+  // (empty) rows and base ids stay valid as CSR indices.
+  const std::vector<EdgeId>& ids = kOut ? g.OutEdges(v) : g.InEdges(v);
+  entries.clear();
+  entries.reserve(ids.size());
+  for (EdgeId e : ids) {
+    const EdgeRecord& rec = g.Edge(e);
+    entries.push_back(SliceEntry{rec.type, kOut ? rec.target : rec.source, e});
+  }
+  auto less = [](const SliceEntry& a, const SliceEntry& b) {
+    return std::tie(a.type, a.nbr, a.id) < std::tie(b.type, b.nbr, b.id);
+  };
+  if (!std::is_sorted(entries.begin(), entries.end(), less)) {
+    std::sort(entries.begin(), entries.end(), less);
+  }
+  std::vector<VertexId>& neighbors = seg.*S::neighbors;
+  std::vector<CsrSegment::TypeDirEntry>& dirs = seg.*S::dirs;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const SliceEntry& ent = entries[i];
+    if (i == 0 || ent.type != entries[i - 1].type) {
+      dirs.push_back(CsrSegment::TypeDirEntry{
+          ent.type, static_cast<uint64_t>(neighbors.size())});
+    }
+    neighbors.push_back(ent.nbr);
+    if constexpr (kOut) seg.out_edge_types.push_back(ent.type);
+    (seg.*S::edge_ids).push_back(ent.id);
+  }
+  (seg.*S::offsets)[l + 1] = neighbors.size();
+  (seg.*S::dir_offsets)[l + 1] = dirs.size();
+}
+
+/// Block-copies `prev`'s rows `[begin, end)` of one side as local rows
+/// `[begin, end)` of `seg`: one contiguous copy per array, offsets and
+/// type-directory `begin`s rebased by one constant.
+template <bool kOut>
+void CopyRows(const CsrSegment& prev, CsrSegment& seg, uint32_t begin,
+              uint32_t end) {
+  using S = Side<kOut>;
+  const std::vector<uint64_t>& src_offsets = prev.*S::offsets;
+  const uint64_t lo = src_offsets[begin];
+  const uint64_t hi = src_offsets[end];
+  std::vector<VertexId>& neighbors = seg.*S::neighbors;
+  // Unsigned wrap-around makes a negative shift exact too.
+  const uint64_t shift = neighbors.size() - lo;
+  auto append = [lo, hi](auto& dst, const auto& src) {
+    dst.insert(dst.end(), src.begin() + lo, src.begin() + hi);
+  };
+  append(neighbors, prev.*S::neighbors);
+  if constexpr (kOut) append(seg.out_edge_types, prev.out_edge_types);
+  append(seg.*S::edge_ids, prev.*S::edge_ids);
+  std::vector<uint64_t>& offsets = seg.*S::offsets;
+  for (uint32_t l = begin; l < end; ++l) {
+    offsets[l + 1] = src_offsets[l + 1] + shift;
+  }
+  const std::vector<uint64_t>& src_dir_offsets = prev.*S::dir_offsets;
+  const std::vector<CsrSegment::TypeDirEntry>& src_dirs = prev.*S::dirs;
+  std::vector<CsrSegment::TypeDirEntry>& dirs = seg.*S::dirs;
+  const uint64_t dir_lo = src_dir_offsets[begin];
+  const uint64_t dir_hi = src_dir_offsets[end];
+  const uint64_t dir_shift = dirs.size() - dir_lo;
+  for (uint64_t d = dir_lo; d < dir_hi; ++d) {
+    dirs.push_back(
+        CsrSegment::TypeDirEntry{src_dirs[d].type, src_dirs[d].begin + shift});
+  }
+  std::vector<uint64_t>& dir_offsets = seg.*S::dir_offsets;
+  for (uint32_t l = begin; l < end; ++l) {
+    dir_offsets[l + 1] = src_dir_offsets[l + 1] + dir_shift;
+  }
+}
+
+/// Writes every row of one side of `seg` by `DeriveRow`.
+template <bool kOut>
+void BuildSide(const PropertyGraph& g, CsrSegment& seg,
+               std::vector<SliceEntry>& entries) {
+  for (uint32_t l = 0; l < seg.num_vertices; ++l) {
+    DeriveRow<kOut>(g, seg, l, entries);
+  }
+}
+
+/// Writes one side of `seg` from `prev` (see `CsrGraph::PatchSegment`):
+/// maximal clean runs through `CopyRows`, dirty and appended rows
+/// through `DeriveRow`. `extra` / `dirs_extra` bound what the
+/// re-derived rows add beyond `prev`'s arrays (capacity only).
+template <bool kOut>
+void PatchSide(const CsrSegment& prev, const PropertyGraph& g,
+               CsrSegment& seg, const uint8_t* dirty, size_t extra,
+               size_t dirs_extra, std::vector<SliceEntry>& entries) {
+  using S = Side<kOut>;
+  const size_t edges = (prev.*S::neighbors).size() + extra;
+  (seg.*S::neighbors).reserve(edges);
+  if constexpr (kOut) seg.out_edge_types.reserve(edges);
+  (seg.*S::edge_ids).reserve(edges);
+  (seg.*S::dirs).reserve((prev.*S::dirs).size() + dirs_extra);
+  const uint32_t count = seg.num_vertices;
+  const uint32_t old = std::min(prev.num_vertices, count);
+  for (uint32_t l = 0; l < count;) {
+    if (l >= old || dirty[l] != 0) {
+      DeriveRow<kOut>(g, seg, l++, entries);
+      continue;
+    }
+    uint32_t end = l + 1;
+    while (end < old && dirty[end] == 0) ++end;
+    CopyRows<kOut>(prev, seg, l, end);
+    l = end;
+  }
 }
 
 }  // namespace
@@ -26,89 +199,37 @@ size_t CsrSegment::ByteSize() const {
 }
 
 CsrSegmentPtr CsrGraph::BuildSegment(const PropertyGraph& g, size_t seg_index) {
-  auto owned = std::make_shared<CsrSegment>();
-  CsrSegment& seg = *owned;
-  const size_t n = g.NumVertices();
-  const VertexId first =
-      static_cast<VertexId>(seg_index << kCsrSegmentShift);
-  const uint32_t count = static_cast<uint32_t>(
-      std::min<size_t>(n - first, kCsrSegmentVertices));
-  seg.first_vertex = first;
-  seg.num_vertices = count;
-  seg.vertex_types.resize(count);
-  for (uint32_t l = 0; l < count; ++l) {
-    seg.vertex_types[l] = g.VertexType(first + l);
-  }
+  std::shared_ptr<CsrSegment> seg = NewSegment(g, seg_index);
+  std::vector<SliceEntry> entries;
+  BuildSide<true>(g, *seg, entries);
+  BuildSide<false>(g, *seg, entries);
+  return seg;
+}
 
-  // One slice entry: the canonical per-vertex order is
-  // (edge type, neighbor, edge id) — grouped by type so a typed
-  // expansion is one contiguous slice, sorted by neighbor within the
-  // type so filter edges (cycle closings) resolve by binary search,
-  // base insertion order surviving within (type, neighbor) because edge
-  // ids are distinct and ascend in insertion order.
-  struct Entry {
-    EdgeTypeId type;
-    VertexId nbr;
-    EdgeId id;
-  };
-  std::vector<Entry> entries;
-  auto build_side = [&](bool out_side, std::vector<uint64_t>& offsets,
-                        std::vector<VertexId>& neighbors,
-                        std::vector<EdgeTypeId>* types,
-                        std::vector<EdgeId>& edge_ids,
-                        std::vector<uint64_t>& dir_offsets,
-                        std::vector<CsrSegment::TypeDirEntry>& dirs) {
-    offsets.assign(count + 1, 0);
-    dir_offsets.assign(count + 1, 0);
-    for (uint32_t l = 0; l < count; ++l) {
-      const VertexId v = first + l;
-      // Live edges only; dead vertices have empty adjacency, so they
-      // keep (empty) rows and base ids stay valid as CSR indices.
-      const std::vector<EdgeId>& ids = out_side ? g.OutEdges(v) : g.InEdges(v);
-      entries.clear();
-      entries.reserve(ids.size());
-      for (EdgeId e : ids) {
-        const EdgeRecord& rec = g.Edge(e);
-        entries.push_back(Entry{rec.type, out_side ? rec.target : rec.source,
-                                e});
-      }
-      bool sorted = true;
-      for (size_t i = 1; i < entries.size(); ++i) {
-        if (std::tie(entries[i].type, entries[i].nbr, entries[i].id) <
-            std::tie(entries[i - 1].type, entries[i - 1].nbr,
-                     entries[i - 1].id)) {
-          sorted = false;
-          break;
-        }
-      }
-      if (!sorted) {
-        std::sort(entries.begin(), entries.end(),
-                  [](const Entry& a, const Entry& b) {
-                    return std::tie(a.type, a.nbr, a.id) <
-                           std::tie(b.type, b.nbr, b.id);
-                  });
-      }
-      for (size_t i = 0; i < entries.size(); ++i) {
-        const Entry& ent = entries[i];
-        if (i == 0 || ent.type != entries[i - 1].type) {
-          dirs.push_back(CsrSegment::TypeDirEntry{
-              ent.type, static_cast<uint64_t>(neighbors.size())});
-          ++dir_offsets[l + 1];
-        }
-        neighbors.push_back(ent.nbr);
-        if (types != nullptr) types->push_back(ent.type);
-        edge_ids.push_back(ent.id);
-      }
-      offsets[l + 1] = neighbors.size();
-    }
-    for (uint32_t l = 0; l < count; ++l) dir_offsets[l + 1] += dir_offsets[l];
-  };
-  build_side(/*out_side=*/true, seg.out_offsets, seg.out_targets,
-             &seg.out_edge_types, seg.out_edge_ids, seg.out_type_dir_offsets,
-             seg.out_type_dirs);
-  build_side(/*out_side=*/false, seg.in_offsets, seg.in_sources, nullptr,
-             seg.in_edge_ids, seg.in_type_dir_offsets, seg.in_type_dirs);
-  return owned;
+CsrSegmentPtr CsrGraph::PatchSegment(const CsrSegment& prev,
+                                     const PropertyGraph& g, size_t seg_index,
+                                     const uint8_t* dirty,
+                                     size_t* rederived) {
+  std::shared_ptr<CsrSegment> seg = NewSegment(g, seg_index);
+  const uint32_t count = seg->num_vertices;
+  const uint32_t old = std::min(prev.num_vertices, count);
+  // Capacity: the previous arrays plus every re-derived row's current
+  // degree (an upper bound, so the neighbor arrays never reallocate)
+  // and one more type-directory entry per re-derived row.
+  size_t out_extra = 0;
+  size_t in_extra = 0;
+  size_t rows = 0;
+  for (uint32_t l = 0; l < count; ++l) {
+    if (l < old && dirty[l] == 0) continue;
+    out_extra += g.OutEdges(seg->first_vertex + l).size();
+    in_extra += g.InEdges(seg->first_vertex + l).size();
+    ++rows;
+  }
+  std::vector<SliceEntry> entries;
+  PatchSide<true>(prev, g, *seg, dirty, out_extra, rows, entries);
+  PatchSide<false>(prev, g, *seg, dirty, in_extra, rows, entries);
+  if (rederived != nullptr) *rederived += rows;
+  return seg;
 }
 
 CsrGraph CsrGraph::Build(const PropertyGraph& g) {
@@ -139,7 +260,6 @@ CsrGraph CsrGraph::FromSegments(std::vector<CsrSegmentPtr> segments,
 
 CsrGraph CsrGraph::PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
                                const std::vector<EdgeId>& removed_edges,
-                               const CsrPatchOptions& options,
                                CsrPatchStats* stats_out) {
   CsrPatchStats local_stats;
   CsrPatchStats& stats = stats_out != nullptr ? *stats_out : local_stats;
@@ -149,24 +269,26 @@ CsrGraph CsrGraph::PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
   const EdgeId first_new = prev.edge_id_space_;
   const size_t num_segs = CsrSegmentCount(n);
 
-  auto full_rebuild = [&]() {
+  if (n < n_prev) {
+    // Not a later state of `prev`'s graph: nothing to patch from.
     stats.full_rebuild = true;
     CsrGraph built = Build(g);
     stats.total_segments = built.num_segments();
     stats.segments_copied = built.num_segments();
+    stats.dirty_vertices = stats.vertices_rederived = n;
     for (const CsrSegmentPtr& s : built.segments_) {
       stats.bytes_copied += s->ByteSize();
     }
     return built;
-  };
+  }
 
-  // Dirty pass: a vertex's slice must be re-derived (and therefore its
-  // whole segment rebuilt) when an edge left or entered it since
-  // `prev`. Vertices appended since `prev` live in segments at or past
-  // the old tail, which rebuild regardless. Tombstoned records stay
-  // readable, which is all this needs — an edge inserted *and* removed
-  // within the window (id >= first_new, now dead) never reached `prev`
-  // and is simply absent from the re-derived segments.
+  // Dirty pass: a vertex's slice must be re-derived (and its segment
+  // re-written) when an edge left or entered it since `prev`. Vertices
+  // appended since `prev` live at or past the old tail and are always
+  // re-derived. Tombstoned records stay readable, which is all this
+  // needs — an edge inserted *and* removed within the window
+  // (id >= first_new, now dead) never reached `prev` and is simply
+  // absent from the re-derived rows.
   std::vector<uint8_t> dirty(n_prev, 0);
   std::vector<uint8_t> seg_dirty(num_segs, 0);
   size_t dirty_old = 0;
@@ -190,15 +312,6 @@ CsrGraph CsrGraph::PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
     mark(rec.target);
   }
   stats.dirty_vertices = dirty_old + (n - n_prev);
-  // The fallback guard stays on the *vertex* dirty fraction — the
-  // long-standing contract callers tune — while the segment counts
-  // below report what a patch actually cost so the catalog's auto-tuner
-  // can move the effective threshold from observed behavior.
-  if (n == 0 || n < n_prev ||
-      static_cast<double>(stats.dirty_vertices) >
-          options.max_dirty_fraction * static_cast<double>(n)) {
-    return full_rebuild();
-  }
   // The segment straddling the old vertex-count boundary changes shape
   // when vertices were appended; segments wholly past it are new.
   if (n != n_prev && (n_prev >> kCsrSegmentShift) < num_segs) {
@@ -216,7 +329,17 @@ CsrGraph CsrGraph::PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
       csr.segments_.push_back(prev.segments_[s]);
       ++stats.segments_shared;
     } else {
-      csr.segments_.push_back(BuildSegment(g, s));
+      // Dirty: block-copy the clean rows, re-derive the dirty and
+      // appended ones. Segments wholly past the old tail are all new.
+      if (s < prev.segments_.size()) {
+        csr.segments_.push_back(
+            PatchSegment(*prev.segments_[s], g, s,
+                         dirty.data() + (s << kCsrSegmentShift),
+                         &stats.vertices_rederived));
+      } else {
+        csr.segments_.push_back(BuildSegment(g, s));
+        stats.vertices_rederived += csr.segments_.back()->num_vertices;
+      }
       ++stats.segments_copied;
       stats.bytes_copied += csr.segments_.back()->ByteSize();
     }

@@ -23,13 +23,15 @@
 /// **Segmented storage.** The vertex id space is cut into fixed-size
 /// ranges of `kCsrSegmentVertices` ids; each range's slices, lineage and
 /// type directories live in one immutable `CsrSegment` held by
-/// `shared_ptr`. `PatchedFrom` rebuilds only the segments containing
-/// vertices incident to the delta and *shares* every clean segment with
-/// the previous generation by refcount — patch cost is O(dirty
-/// segments), independent of |E|, where the former monolithic layout
-/// memcpy'd ~|E| bytes of clean runs per patch. Both `Build` and
-/// `PatchedFrom` produce each segment through the same `BuildSegment`
-/// routine, so a patched snapshot is bit-identical to a fresh build by
+/// `shared_ptr`. `PatchedFrom` *shares* every clean segment with the
+/// previous generation by refcount and writes a new version of each
+/// segment containing vertices incident to the delta: clean runs of
+/// rows are block-copied from the old version, and only the dirty rows
+/// are re-derived from the graph. Re-derivation is O(dirty vertices),
+/// independent of |E| and of how many segments the delta touches.
+/// `BuildSegment` and `PatchSegment` derive every row through one
+/// per-vertex routine, and a copied row is a row that routine wrote
+/// earlier, so a patched snapshot is bit-identical to a fresh build by
 /// construction. The segment boundaries double as the engine's shard
 /// boundaries (`ShardOfVertex`).
 
@@ -71,39 +73,32 @@ inline uint32_t ShardOfSegment(size_t segment, size_t shards) {
   return static_cast<uint32_t>(segment % shards);
 }
 
-/// \brief Tuning for incremental snapshot patching (`CsrGraph::PatchedFrom`).
-struct CsrPatchOptions {
-  /// Patch only while (vertices incident to the delta) / |V| stays at or
-  /// below this fraction; above it re-deriving dirty slices approaches
-  /// the cost of a full rebuild (which also has better locality), so
-  /// `PatchedFrom` falls back to `Build`. Set to 0 to disable patching
-  /// entirely (every snapshot is a full rebuild — the PR-3 behavior).
-  /// The catalog can auto-tune its effective value at runtime from the
-  /// observed segments-copied telemetry (`ViewCatalog`).
-  double max_dirty_fraction = 0.20;
-
-  bool enabled() const { return max_dirty_fraction > 0.0; }
-};
-
 /// \brief What one `PatchedFrom` call did (telemetry for benches/tests).
 struct CsrPatchStats {
   /// Pre-existing vertices whose out- or in-slice had to be re-derived,
   /// plus vertices appended since the previous snapshot.
   size_t dirty_vertices = 0;
-  /// Segments re-derived from the graph (they contained dirty or
-  /// appended vertices). On the full-rebuild path this counts every
-  /// segment — a rebuild copies everything.
+  /// Rows actually re-derived from the graph's adjacency. On the patch
+  /// path this equals `dirty_vertices` — clean rows of dirty segments
+  /// are block-copied — which is the O(dirty vertices) property; a full
+  /// rebuild re-derives every vertex.
+  size_t vertices_rederived = 0;
+  /// Segments written anew (they contained dirty or appended vertices).
+  /// On the full-rebuild path this counts every segment — a rebuild
+  /// copies everything.
   size_t segments_copied = 0;
   /// Segments shared with the previous snapshot by refcount (zero bytes
   /// copied for them).
   size_t segments_shared = 0;
   /// Total segments in the produced snapshot.
   size_t total_segments = 0;
-  /// Heap bytes of the re-derived segments (the actual copy cost of the
-  /// patch; shared segments contribute nothing).
+  /// Bytes written into new segments — block-copied clean rows and
+  /// re-derived rows alike (the copy cost of the patch; shared segments
+  /// contribute nothing).
   size_t bytes_copied = 0;
-  /// True when the dirty fraction exceeded the threshold and the result
-  /// came from a full `Build` instead of the patch path.
+  /// True when `g` had fewer vertices than `prev` (so it cannot be a
+  /// later state of the same graph) and the result came from a full
+  /// `Build` instead of the patch path.
   bool full_rebuild = false;
 };
 
@@ -176,12 +171,29 @@ class CsrGraph {
   static CsrGraph Build(const PropertyGraph& g);
 
   /// Builds the single segment `seg` (vertex ids
-  /// `[seg << kCsrSegmentShift, ...)`) from `g`'s current adjacency.
-  /// `Build` and `PatchedFrom` both produce segments through this
-  /// routine, so patched snapshots equal fresh builds bit-for-bit; the
-  /// per-shard segment store uses it to rebuild exactly the segments a
-  /// shard dirtied.
+  /// `[seg << kCsrSegmentShift, ...)`) from `g`'s current adjacency,
+  /// deriving every row through the per-vertex slice routine that
+  /// `PatchSegment` also uses. `Build` and the per-shard store's cold
+  /// path (and segments wholly past a patch's old tail) come through
+  /// here.
   static CsrSegmentPtr BuildSegment(const PropertyGraph& g, size_t seg);
+
+  /// Builds segment `seg` of `g` from `prev`, the same segment of a
+  /// snapshot of an earlier state of `g` (one that differs only by
+  /// appended vertices/edges and tombstoned edges). `dirty[l]` is
+  /// non-zero when local vertex `l`'s out- or in-slice changed since
+  /// `prev`; it is read for `l < prev.num_vertices` only, since rows
+  /// past `prev`'s end were appended and are always re-derived. Each
+  /// maximal run of clean rows is block-copied from `prev` (one copy per
+  /// array, offsets and type-directory `begin`s rebased by one
+  /// constant); only dirty and appended rows are re-derived, through the
+  /// same per-vertex routine as `BuildSegment`, so the result equals
+  /// `BuildSegment(g, seg)` bit for bit. Adds the number of re-derived
+  /// rows to `*rederived` when given.
+  static CsrSegmentPtr PatchSegment(const CsrSegment& prev,
+                                    const PropertyGraph& g, size_t seg,
+                                    const uint8_t* dirty,
+                                    size_t* rederived = nullptr);
 
   /// Assembles a snapshot from already-built segments (the per-shard
   /// segment store's publish path). `segments[i]` must cover vertex ids
@@ -191,33 +203,36 @@ class CsrGraph {
                                size_t num_vertices, EdgeId edge_id_space);
 
   /// Derives the snapshot of `g` from `prev`, a snapshot of an earlier
-  /// state of the same graph, rebuilding only the *segments* containing
+  /// state of the same graph, touching only the *segments* containing
   /// vertices incident to what changed: `removed_edges` must list
   /// exactly the edge ids tombstoned in `g` since `prev` was built
   /// (their records stay readable), and every edge id appended since is
   /// discovered from the id space (`prev.edge_id_space()` up to
   /// `g.NumEdges()`), so insertions need no explicit list. Clean
-  /// segments are shared with `prev` by refcount (zero copy); dirty
-  /// segments are re-derived from `g`'s adjacency via `BuildSegment`,
-  /// so the result is indistinguishable from `Build(g)`. Copy cost is
-  /// O(dirty segments), independent of |E|.
+  /// segments are shared with `prev` by refcount (zero copy). Each dirty
+  /// segment goes through `PatchSegment`: its clean rows are
+  /// block-copied from `prev` and only its dirty and appended rows are
+  /// re-derived from `g`'s adjacency — through the per-vertex routine
+  /// `Build` uses, so the result equals `Build(g)` bit for bit. The
+  /// derivation work is O(dirty vertices) (`stats->vertices_rederived`);
+  /// the copying is bounded by the dirty segments' bytes.
   ///
-  /// Falls back to `Build(g)` automatically when the dirty *vertex*
-  /// fraction exceeds `options.max_dirty_fraction` (reported via
-  /// `stats->full_rebuild`); the segment-level copy/share counts in
-  /// `stats` let callers tune that threshold from observed behavior.
+  /// There is no dirty-fraction fallback: with half of all vertices
+  /// dirty a patch still measured no slower than `Build`
+  /// (`bench_snapshot_refresh`'s direct-patch table), since a rebuild
+  /// re-derives every row anyway. Only a `g` with fewer vertices than
+  /// `prev` — not a later state of the same graph — falls back to
+  /// `Build(g)` (reported via `stats->full_rebuild`).
   static CsrGraph PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
                               const std::vector<EdgeId>& removed_edges,
-                              const CsrPatchOptions& options = {},
                               CsrPatchStats* stats = nullptr);
 
   /// As above with the removals taken from one applied `GraphDelta`
   /// batch (`g` must be the post-delta graph).
   static CsrGraph PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
                               const GraphDelta& delta,
-                              const CsrPatchOptions& options = {},
                               CsrPatchStats* stats = nullptr) {
-    return PatchedFrom(prev, g, delta.edge_removals, options, stats);
+    return PatchedFrom(prev, g, delta.edge_removals, stats);
   }
 
   size_t NumVertices() const { return num_vertices_; }

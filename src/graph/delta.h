@@ -94,15 +94,6 @@ struct DeltaFootprint {
       : edge_removals(delta.edge_removals),
         edge_inserts(delta.edge_inserts.size()),
         vertex_inserts(delta.vertex_inserts.size()) {}
-
-  /// Upper bound on the vertices whose adjacency this batch touches
-  /// (each edge mutation dirties at most its two endpoints). Consumers
-  /// that patch per-vertex state forward (the catalog's CSR snapshot
-  /// trail) use it to skip logging batches that already guarantee a
-  /// full rebuild.
-  size_t TouchedVertexBound() const {
-    return 2 * (edge_inserts + edge_removals.size());
-  }
 };
 
 /// \brief Shared ownership of one applied batch's footprint.

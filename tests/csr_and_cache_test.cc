@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/engine.h"
 #include "core/materializer.h"
 #include "core/rewriter.h"
@@ -392,13 +394,7 @@ TEST(SnapshotPatchTest, ApplyDeltaPatchesBaseSnapshotForward) {
 TEST(SnapshotPatchTest, ViewSnapshotsPatchThroughMaintainedDeltas) {
   PropertyGraph base = datasets::MakeProvenanceGraph(
       {.num_jobs = 30, .num_files = 60, .include_auxiliary = false});
-  // A single base removal can touch a sizable fraction of this small
-  // connector view, which would (correctly) trip the dirty-fraction
-  // fallback; force the patch path — this test is about the trail
-  // plumbing, the threshold has its own tests.
-  core::EngineOptions options;
-  options.snapshot_patch.max_dirty_fraction = 1.0;
-  core::Engine engine(std::move(base), options);
+  core::Engine engine(std::move(base));
   ASSERT_TRUE(engine.AddMaterializedView(JobConnector(2)).ok());
   const core::ViewCatalog& catalog = engine.catalog();
   const core::CatalogEntry* entry =
@@ -487,7 +483,7 @@ TEST(SnapshotPatchTest, DisabledPatchingAlwaysRebuilds) {
   PropertyGraph base = datasets::MakeProvenanceGraph(
       {.num_jobs = 30, .num_files = 60, .include_auxiliary = false});
   core::EngineOptions options;
-  options.snapshot_patch.max_dirty_fraction = 0.0;
+  options.snapshot_patching = false;
   core::Engine engine(std::move(base), options);
   const core::ViewCatalog& catalog = engine.catalog();
   ASSERT_NE(catalog.BaseSnapshot(), nullptr);
@@ -544,7 +540,7 @@ TEST(SegmentSharingTest, CleanSegmentsSharedByPointerAcrossGenerations) {
 
   graph::CsrPatchStats stats;
   CsrGraph next =
-      CsrGraph::PatchedFrom(prev, g, delta.edge_removals, {}, &stats);
+      CsrGraph::PatchedFrom(prev, g, delta.edge_removals, &stats);
   EXPECT_FALSE(stats.full_rebuild);
   EXPECT_EQ(stats.total_segments, prev.num_segments());
   EXPECT_EQ(stats.segments_copied, dirty.size());
@@ -585,7 +581,7 @@ TEST(SegmentSharingTest, ChurnKeepsSharingAndStaysExact) {
     ASSERT_TRUE(applied.ok()) << applied.status();
     graph::CsrPatchStats stats;
     generations.push_back(
-        CsrGraph::PatchedFrom(prev, g, delta.edge_removals, {}, &stats));
+        CsrGraph::PatchedFrom(prev, g, delta.edge_removals, &stats));
     ASSERT_FALSE(stats.full_rebuild) << "step " << step;
     shared_total += stats.segments_shared;
     testutil::ExpectCsrEqual(generations.back(), CsrGraph::Build(g), g,
@@ -599,28 +595,196 @@ TEST(SegmentSharingTest, ChurnKeepsSharingAndStaysExact) {
   testutil::ExpectCsrEqual(last, CsrGraph::Build(g), g, "after release");
 }
 
-TEST(SegmentSharingTest, FullRebuildReportsAllSegmentsCopied) {
-  PropertyGraph g = datasets::MakeProvenanceGraph(
-      {.num_jobs = 800, .num_files = 1500, .num_tasks = 600});
+// ---------------------------------------------------------------------------
+// Row-level patching: a uniform delta dirties every segment, so nothing
+// is shared, yet only the dirty vertices' rows are re-derived — every
+// other row is block-copied from the previous version — and each
+// patched segment is byte-identical to a fresh Build's.
+// ---------------------------------------------------------------------------
+
+/// Uniform churn over a multi-segment provenance graph. Each batch
+/// inserts edges of five types between random endpoints of every vertex
+/// type (enough that every segment is dirty), gives the hub Job edges
+/// of four types (WRITES_TO and SPAWNS out, IS_READ_BY and SUBMITS in),
+/// and removes random live edges. The newest Job gets an edge too, so a
+/// tail segment holding only appended Jobs is dirty as well.
+class ProvChurn {
+ public:
+  ProvChurn(const PropertyGraph& g, uint64_t seed) : rng_(seed) {
+    auto of_type = [&g](const char* name) {
+      return g.VerticesOfType(g.schema().FindVertexType(name));
+    };
+    jobs_ = of_type("Job");
+    files_ = of_type("File");
+    tasks_ = of_type("Task");
+    machines_ = of_type("Machine");
+    users_ = of_type("User");
+    hub_ = jobs_.front();
+    for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(g.NumEdges());
+         ++e) {
+      live_.push_back(e);
+    }
+  }
+
+  graph::GraphDelta Next() {
+    graph::GraphDelta delta;
+    for (int i = 0; i < 16; ++i) {
+      delta.AddEdge(Pick(jobs_), Pick(files_), "WRITES_TO");
+      delta.AddEdge(Pick(files_), Pick(jobs_), "IS_READ_BY");
+      delta.AddEdge(Pick(jobs_), Pick(tasks_), "SPAWNS");
+      delta.AddEdge(Pick(tasks_), Pick(machines_), "RUNS_ON");
+      delta.AddEdge(Pick(users_), Pick(jobs_), "SUBMITS");
+    }
+    delta.AddEdge(jobs_.back(), Pick(files_), "WRITES_TO");
+    delta.AddEdge(hub_, Pick(files_), "WRITES_TO");
+    delta.AddEdge(hub_, Pick(tasks_), "SPAWNS");
+    delta.AddEdge(Pick(files_), hub_, "IS_READ_BY");
+    delta.AddEdge(Pick(users_), hub_, "SUBMITS");
+    for (int i = 0; i < 8; ++i) delta.RemoveEdge(TakeLive());
+    return delta;
+  }
+
+  /// Appends Jobs (each writing one File) so the vertex count crosses
+  /// the next segment boundary: the old tail segment grows and a new
+  /// segment starts.
+  graph::GraphDelta AppendAcrossBoundary(const PropertyGraph& g) {
+    graph::GraphDelta delta;
+    const size_t n = g.NumVertices();
+    const size_t count =
+        graph::kCsrSegmentVertices - n % graph::kCsrSegmentVertices + 3;
+    for (size_t j = 0; j < count; ++j) {
+      delta.AddVertex("Job");
+      delta.AddEdge(static_cast<VertexId>(n + j), Pick(files_), "WRITES_TO");
+    }
+    return delta;
+  }
+
+  /// Takes a live edge out of the removable pool.
+  graph::EdgeId TakeLive() {
+    const size_t at = rng_() % live_.size();
+    const graph::EdgeId e = live_[at];
+    live_[at] = live_.back();
+    live_.pop_back();
+    return e;
+  }
+
+  /// Records what applying a batch created.
+  void Track(const std::vector<VertexId>& new_vertices,
+             const std::vector<graph::EdgeId>& new_edges) {
+    jobs_.insert(jobs_.end(), new_vertices.begin(), new_vertices.end());
+    live_.insert(live_.end(), new_edges.begin(), new_edges.end());
+  }
+
+ private:
+  VertexId Pick(const std::vector<VertexId>& pool) {
+    return pool[rng_() % pool.size()];
+  }
+
+  std::mt19937_64 rng_;
+  std::vector<VertexId> jobs_, files_, tasks_, machines_, users_;
+  std::vector<graph::EdgeId> live_;
+  VertexId hub_ = graph::kInvalidId;
+};
+
+PropertyGraph ThreeSegmentProvGraph() {
+  return datasets::MakeProvenanceGraph({.num_jobs = 500,
+                                        .num_files = 900,
+                                        .num_tasks = 1200,
+                                        .num_machines = 20,
+                                        .num_users = 40});
+}
+
+TEST(SegmentPatchTest, UniformChurnRederivesOnlyDirtyRowsAtEveryPrefix) {
+  PropertyGraph g = ThreeSegmentProvGraph();
+  ProvChurn churn(g, 7);
   CsrGraph prev = CsrGraph::Build(g);
-  auto [job, file] = PickJobAndFile(g);
-  ASSERT_NE(job, graph::kInvalidId);
-  graph::GraphDelta delta;
-  delta.AddEdge(job, file, "WRITES_TO", {});
-  auto applied = graph::ApplyDeltaToGraph(&g, delta);
-  ASSERT_TRUE(applied.ok()) << applied.status();
-  graph::CsrPatchOptions disabled;
-  disabled.max_dirty_fraction = 0.0;
-  graph::CsrPatchStats stats;
-  CsrGraph next =
-      CsrGraph::PatchedFrom(prev, g, delta.edge_removals, disabled, &stats);
-  EXPECT_TRUE(stats.full_rebuild);
-  EXPECT_EQ(stats.segments_copied, next.num_segments());
-  EXPECT_EQ(stats.segments_shared, 0u);
-  EXPECT_GT(stats.bytes_copied, 0u);
-  // Nothing aliases the previous generation.
-  for (size_t s = 0; s < next.num_segments(); ++s) {
-    EXPECT_NE(next.segment(s).get(), prev.segment(s).get()) << "segment " << s;
+  ASSERT_GE(prev.num_segments(), 2u);
+  auto apply = [&](const graph::GraphDelta& delta,
+                   std::vector<graph::EdgeId>* window_removals) {
+    auto applied = graph::ApplyDeltaToGraph(&g, delta);
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    churn.Track(applied->new_vertices, applied->new_edges);
+    window_removals->insert(window_removals->end(),
+                            delta.edge_removals.begin(),
+                            delta.edge_removals.end());
+  };
+  for (int step = 0; step < 10; ++step) {
+    const std::string context = "step " + std::to_string(step);
+    // One patch window may span several batches; its removal list is
+    // their concatenation.
+    std::vector<graph::EdgeId> window_removals;
+    apply(churn.Next(), &window_removals);
+    if (step == 2) apply(churn.AppendAcrossBoundary(g), &window_removals);
+    if (step % 3 == 1) {
+      // An edge inserted and removed inside one window never reaches
+      // either snapshot.
+      graph::GraphDelta removal;
+      removal.RemoveEdge(static_cast<graph::EdgeId>(g.NumEdges() - 1));
+      apply(removal, &window_removals);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+
+    graph::CsrPatchStats stats;
+    CsrGraph next = CsrGraph::PatchedFrom(prev, g, window_removals, &stats);
+    ASSERT_FALSE(stats.full_rebuild) << context;
+    ASSERT_EQ(stats.segments_shared, 0u)
+        << context << ": churn left a segment clean; test premise broken";
+    // The O(dirty vertices) property, by count: every written segment
+    // re-derived exactly its dirty and appended rows.
+    EXPECT_EQ(stats.vertices_rederived, stats.dirty_vertices) << context;
+    // ...and most rows were copied, not re-derived.
+    EXPECT_LT(stats.dirty_vertices * 2, g.NumVertices()) << context;
+    for (size_t s = 0; s < prev.num_segments(); ++s) {
+      EXPECT_NE(next.segment(s).get(), prev.segment(s).get())
+          << context << " segment " << s;
+    }
+    testutil::ExpectSegmentsIdentical(next, CsrGraph::Build(g), context);
+    if (::testing::Test::HasFatalFailure()) return;
+    prev = std::move(next);
+  }
+}
+
+TEST(SegmentPatchTest, EngineBaseAndViewSnapshotsMatchBuildUnderChurn) {
+  core::Engine engine(ThreeSegmentProvGraph());
+  ASSERT_TRUE(engine.AddMaterializedView(JobConnector(2)).ok());
+  const core::ViewCatalog& catalog = engine.catalog();
+  const core::CatalogEntry* entry = catalog.Find(JobConnector(2).Name());
+  ASSERT_NE(entry, nullptr);
+  ProvChurn churn(engine.base_graph(), 13);
+  ASSERT_NE(catalog.BaseSnapshot(), nullptr);
+  ASSERT_NE(catalog.SnapshotFor(entry->handle), nullptr);
+  auto apply = [&](graph::GraphDelta delta) {
+    auto report = engine.ApplyDelta(std::move(delta));
+    ASSERT_TRUE(report.ok()) << report.status();
+    churn.Track(report->new_vertices, report->new_edges);
+  };
+  for (int step = 0; step < 8; ++step) {
+    const std::string context = "step " + std::to_string(step);
+    apply(churn.Next());
+    if (step == 3) apply(churn.AppendAcrossBoundary(engine.base_graph()));
+    if (step % 3 == 1) {
+      graph::GraphDelta removal;
+      removal.RemoveEdge(
+          static_cast<graph::EdgeId>(engine.base_graph().NumEdges() - 1));
+      apply(std::move(removal));
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    const size_t patches_before = catalog.snapshot_patches();
+    auto base = catalog.BaseSnapshot();
+    ASSERT_NE(base, nullptr) << context;
+    EXPECT_EQ(catalog.snapshot_patches(), patches_before + 1)
+        << context << ": base snapshot did not take the patch path";
+    testutil::ExpectSegmentsIdentical(
+        *base, CsrGraph::Build(engine.base_graph()), "base " + context);
+    // The view may have been rematerialized instead of maintained (a
+    // full rebuild); either way its snapshot must equal a fresh build.
+    entry = catalog.Find(JobConnector(2).Name());
+    ASSERT_NE(entry, nullptr);
+    auto view = catalog.SnapshotFor(entry->handle);
+    ASSERT_NE(view, nullptr) << context;
+    testutil::ExpectSegmentsIdentical(
+        *view, CsrGraph::Build(entry->view.graph), "view " + context);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -65,6 +65,44 @@ inline void ExpectCsrEqual(const graph::CsrGraph& a, const graph::CsrGraph& b,
   }
 }
 
+/// Asserts `a` and `b` hold byte-identical segments: every array of
+/// every segment equal element for element, offsets and type-directory
+/// `begin`s included. Stricter than `ExpectCsrEqual`, which compares
+/// through the accessors: this is the "patched equals `Build` bit for
+/// bit" contract of `CsrGraph::PatchSegment`.
+inline void ExpectSegmentsIdentical(const graph::CsrGraph& a,
+                                    const graph::CsrGraph& b,
+                                    const std::string& context) {
+  ASSERT_EQ(a.num_segments(), b.num_segments()) << context;
+  auto dirs_equal = [](const std::vector<graph::CsrSegment::TypeDirEntry>& x,
+                       const std::vector<graph::CsrSegment::TypeDirEntry>& y) {
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (x[i].type != y[i].type || x[i].begin != y[i].begin) return false;
+    }
+    return true;
+  };
+  for (size_t i = 0; i < a.num_segments(); ++i) {
+    const graph::CsrSegment& s = *a.segment(i);
+    const graph::CsrSegment& t = *b.segment(i);
+    const std::string at = context + " segment " + std::to_string(i);
+    ASSERT_EQ(s.first_vertex, t.first_vertex) << at;
+    ASSERT_EQ(s.num_vertices, t.num_vertices) << at;
+    ASSERT_EQ(s.vertex_types, t.vertex_types) << at;
+    ASSERT_EQ(s.out_offsets, t.out_offsets) << at;
+    ASSERT_EQ(s.out_targets, t.out_targets) << at;
+    ASSERT_EQ(s.out_edge_types, t.out_edge_types) << at;
+    ASSERT_EQ(s.out_edge_ids, t.out_edge_ids) << at;
+    ASSERT_EQ(s.in_offsets, t.in_offsets) << at;
+    ASSERT_EQ(s.in_sources, t.in_sources) << at;
+    ASSERT_EQ(s.in_edge_ids, t.in_edge_ids) << at;
+    ASSERT_EQ(s.out_type_dir_offsets, t.out_type_dir_offsets) << at;
+    ASSERT_TRUE(dirs_equal(s.out_type_dirs, t.out_type_dirs)) << at;
+    ASSERT_EQ(s.in_type_dir_offsets, t.in_type_dir_offsets) << at;
+    ASSERT_TRUE(dirs_equal(s.in_type_dirs, t.in_type_dirs)) << at;
+  }
+}
+
 }  // namespace kaskade::testutil
 
 #endif  // KASKADE_TESTS_CSR_TEST_UTIL_H_

@@ -615,12 +615,10 @@ TEST(FusedRunnerTest, GroupMatchesSoloMemberByMember) {
 
 // ---------------------------------------------------------------------------
 // Snapshot-patching differential: a chain of CsrGraph::PatchedFrom calls
-// following the same randomized mutation sequences must be structurally
-// identical to a from-scratch CsrGraph::Build at every prefix — typed
-// slices, lineage edge ids, type directories, and sortedness included.
-// The threshold is forced to 1.0 so every step takes the patch path
-// (never the internal Build fallback); a parallel default-threshold
-// chain checks that fallbacks interleave transparently.
+// following the same randomized mutation sequences must be
+// byte-identical to a from-scratch CsrGraph::Build at every prefix —
+// typed slices, lineage edge ids, type directories, and sortedness
+// included — while re-deriving exactly the dirty vertices' rows.
 // ---------------------------------------------------------------------------
 
 TEST_P(DifferentialTest, PatchedSnapshotsMatchFreshBuildsAtEveryPrefix) {
@@ -629,11 +627,7 @@ TEST_P(DifferentialTest, PatchedSnapshotsMatchFreshBuildsAtEveryPrefix) {
   PropertyGraph g(DeltaSchema());
   SeedGraph(&g, &state);
 
-  graph::CsrPatchOptions always_patch;
-  always_patch.max_dirty_fraction = 1.0;
-
   graph::CsrGraph patched = graph::CsrGraph::Build(g);
-  graph::CsrGraph adaptive = graph::CsrGraph::Build(g);
 
   constexpr int kSteps = 60;
   for (int step = 0; step < kSteps; ++step) {
@@ -672,47 +666,37 @@ TEST_P(DifferentialTest, PatchedSnapshotsMatchFreshBuildsAtEveryPrefix) {
                                 std::to_string(seed) +
                                 (skewed ? ", skewed)" : ", uniform)");
     graph::CsrPatchStats stats;
-    patched =
-        graph::CsrGraph::PatchedFrom(patched, g, delta, always_patch, &stats);
+    patched = graph::CsrGraph::PatchedFrom(patched, g, delta, &stats);
     ASSERT_FALSE(stats.full_rebuild) << context;
+    EXPECT_EQ(stats.vertices_rederived, stats.dirty_vertices) << context;
     const graph::CsrGraph fresh = graph::CsrGraph::Build(g);
     testutil::ExpectCsrEqual(patched, fresh, g, "patched " + context);
-    if (::testing::Test::HasFatalFailure()) return;
-
-    adaptive = graph::CsrGraph::PatchedFrom(adaptive, g, delta, {}, &stats);
-    testutil::ExpectCsrEqual(adaptive, fresh, g, "adaptive " + context);
+    testutil::ExpectSegmentsIdentical(patched, fresh, "patched " + context);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(SnapshotPatchFallbackTest, DirtyFractionThresholdForcesFullRebuild) {
+TEST(SnapshotPatchTest, DeltaDirtyingMostOfTheGraphStillPatchesExactly) {
   MutationState state(17, /*skew=*/false);
   PropertyGraph g(DeltaSchema());
   SeedGraph(&g, &state);
   graph::CsrGraph prev = graph::CsrGraph::Build(g);
 
-  // A delta touching most of the graph: dirty fraction is far above any
-  // reasonable threshold, so the patch must fall back (and still be
-  // exact, because the fallback *is* Build).
+  // A delta touching most of the graph: there is no dirty-fraction
+  // fallback, so it still patches — re-deriving every dirty row and
+  // block-copying the few clean ones — and stays exact.
   GraphDelta big;
   for (int i = 0; i < 12; ++i) big.edge_inserts.push_back(state.RandomEdgeInsert());
   auto applied = graph::ApplyDeltaToGraph(&g, big);
   ASSERT_TRUE(applied.ok()) << applied.status();
 
-  graph::CsrPatchOptions tight;
-  tight.max_dirty_fraction = 0.01;  // 26 vertices: budget < 1 dirty vertex
   graph::CsrPatchStats stats;
-  graph::CsrGraph result = graph::CsrGraph::PatchedFrom(prev, g, big, tight, &stats);
-  EXPECT_TRUE(stats.full_rebuild);
-  EXPECT_GT(stats.dirty_vertices, 0u);
-  testutil::ExpectCsrEqual(result, graph::CsrGraph::Build(g), g, "fallback");
-
-  // The same delta patches fine with headroom.
-  graph::CsrPatchStats relaxed_stats;
-  graph::CsrGraph patched = graph::CsrGraph::PatchedFrom(
-      prev, g, big, graph::CsrPatchOptions{1.0}, &relaxed_stats);
-  EXPECT_FALSE(relaxed_stats.full_rebuild);
-  testutil::ExpectCsrEqual(patched, graph::CsrGraph::Build(g), g, "patched");
+  graph::CsrGraph patched = graph::CsrGraph::PatchedFrom(prev, g, big, &stats);
+  EXPECT_FALSE(stats.full_rebuild);
+  EXPECT_GT(stats.dirty_vertices * 2, g.NumVertices());
+  EXPECT_EQ(stats.vertices_rederived, stats.dirty_vertices);
+  testutil::ExpectSegmentsIdentical(patched, graph::CsrGraph::Build(g),
+                                    "patched");
 }
 
 // ---------------------------------------------------------------------------

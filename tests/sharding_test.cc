@@ -268,6 +268,75 @@ TEST(ShardingTest, SegmentStoreSnapshotMatchesFreshBuildAtEveryPrefix) {
   EXPECT_EQ(store.writer_acquisitions().size(), 4u);
 }
 
+// Sharded == unsharded under uniform churn: every batch dirties every
+// segment, and the per-shard store patches them through the same
+// `PatchSegment` routine as the unsharded `PatchedFrom` chain — the two
+// produce byte-identical segments and re-derive the same rows.
+TEST(ShardingTest, SegmentStorePatchesMatchUnshardedChainUnderUniformChurn) {
+  for (size_t shards : {2u, 4u}) {
+    const std::string where = "shards=" + std::to_string(shards);
+    PropertyGraph g = MakeShardableGraph(41);
+    SegmentStore store(&g, shards);
+    uint64_t version = 1;
+    ASSERT_NE(store.Snapshot(version), nullptr);
+    CsrGraph chain = CsrGraph::Build(g);
+    std::mt19937_64 rng(77 + shards);
+    std::vector<EdgeId> live;
+    for (EdgeId e = 0; e < static_cast<EdgeId>(g.NumEdges()); ++e) {
+      live.push_back(e);
+    }
+    std::vector<VertexId> jobs =
+        g.VerticesOfType(g.schema().FindVertexType("Job"));
+    const std::vector<VertexId> tasks =
+        g.VerticesOfType(g.schema().FindVertexType("Task"));
+    const VertexId a_file =
+        g.VerticesOfType(g.schema().FindVertexType("File")).front();
+    for (int step = 0; step < 8; ++step) {
+      const std::string context = where + " step " + std::to_string(step);
+      GraphDelta delta = RandomBatch(g, &rng, &live);
+      for (int i = 0; i < 24; ++i) {
+        // Extra uniform inserts reaching every vertex type, so every
+        // segment is dirty.
+        delta.AddEdge(jobs[rng() % jobs.size()], tasks[rng() % tasks.size()],
+                      "SPAWNS");
+      }
+      // The newest Job, so a tail segment of appended Jobs is dirty too.
+      delta.AddEdge(jobs.back(), a_file, "WRITES_TO");
+      if (step == 3) {
+        // Appended Jobs straddling the next segment boundary.
+        const size_t n = g.NumVertices();
+        const size_t count =
+            graph::kCsrSegmentVertices - n % graph::kCsrSegmentVertices + 3;
+        for (size_t j = 0; j < count; ++j) {
+          delta.AddVertex("Job");
+          delta.AddEdge(static_cast<VertexId>(n + j), a_file, "WRITES_TO");
+        }
+      }
+      auto applied = graph::ApplyDeltaToGraph(&g, delta);
+      ASSERT_TRUE(applied.ok()) << applied.status();
+      for (EdgeId e : applied->new_edges) live.push_back(e);
+      for (VertexId v : applied->new_vertices) jobs.push_back(v);
+
+      store.NoteDelta(std::make_shared<const graph::DeltaFootprint>(delta));
+      const uint64_t rederived_before = store.vertices_rederived();
+      SegmentStore::Outcome outcome;
+      auto snap = store.Snapshot(++version, &outcome);
+      ASSERT_NE(snap, nullptr) << context;
+      graph::CsrPatchStats stats;
+      chain = CsrGraph::PatchedFrom(chain, g, delta, &stats);
+      ASSERT_EQ(stats.segments_shared, 0u)
+          << context << ": churn left a segment clean; test premise broken";
+      EXPECT_EQ(store.vertices_rederived() - rederived_before,
+                stats.vertices_rederived)
+          << context;
+      EXPECT_EQ(stats.vertices_rederived, stats.dirty_vertices) << context;
+      testutil::ExpectSegmentsIdentical(*snap, chain, context);
+      testutil::ExpectSegmentsIdentical(*snap, CsrGraph::Build(g), context);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency (TSan target): readers refreshing disjoint stale shards
 // in parallel, racing on the per-shard writer locks, interleaved with
