@@ -306,8 +306,10 @@ int main() {
                   "%zu quarantined\n",
                   static_cast<unsigned long long>(t.catalog_generation),
                   t.views_ready, t.views_quarantined);
-      std::printf("plan cache: %zu hits, %zu misses\n", t.plan_cache_hits,
-                  t.plan_cache_misses);
+      std::printf("plan cache: %zu hits, %zu misses, %zu stale-plan "
+                  "fallbacks\n",
+                  t.plan_cache_hits, t.plan_cache_misses,
+                  t.stale_plan_fallbacks);
       std::printf("snapshots: %zu hits, %zu patches, %zu full builds, "
                   "%zu build failures\n",
                   t.snapshot_hits, t.snapshot_patches,
@@ -322,7 +324,7 @@ int main() {
                   t.quarantine_events, t.batch_worker_faults);
     } else if (command == "workload") {
       auto snapshot = engine->workload().Snapshot();
-      std::printf("%zu distinct queries, %llu executions observed\n",
+      std::printf("%zu query templates, %llu executions observed\n",
                   snapshot.entries.size(),
                   static_cast<unsigned long long>(snapshot.total_executions));
       for (const auto& obs : snapshot.entries) {

@@ -10,25 +10,23 @@ namespace kaskade::core {
 
 namespace {
 
-/// Recomputes `entry`'s statistics and records the live counts they
-/// were computed at.
 void RefreshStats(CatalogEntry* entry) {
   entry->stats = graph::GraphStats::Compute(entry->view.graph);
-  entry->stats_live_vertices = entry->view.graph.NumLiveVertices();
-  entry->stats_live_edges = entry->view.graph.NumLiveEdges();
 }
 
-/// True when the view drifted far enough (>10%, with a small-view
-/// floor) from the state its statistics were computed at that plan
-/// costing would be misled.
-bool StatsAreStale(const CatalogEntry& entry) {
-  auto drifted = [](size_t now, size_t then) {
-    size_t diff = now > then ? now - then : then - now;
+/// True when `now` drifted far enough (>10% of its live vertex or edge
+/// count, with a small-graph floor) from the counts `stats` was
+/// computed at that plan costing would be misled, or gained a vertex
+/// type `stats` has no summary for.
+bool StatsAreStale(const graph::GraphStats& stats,
+                   const graph::PropertyGraph& now) {
+  auto drifted = [](size_t current, size_t then) {
+    size_t diff = current > then ? current - then : then - current;
     return diff * 10 > then + 32;
   };
-  return drifted(entry.view.graph.NumLiveVertices(),
-                 entry.stats_live_vertices) ||
-         drifted(entry.view.graph.NumLiveEdges(), entry.stats_live_edges);
+  return drifted(now.NumLiveVertices(), stats.num_vertices()) ||
+         drifted(now.NumLiveEdges(), stats.num_edges()) ||
+         now.schema().num_vertex_types() != stats.per_type().size();
 }
 
 /// Re-materializes `entry` over `base` and re-attaches a maintainer
@@ -53,6 +51,32 @@ constexpr size_t kMaxTrailBatches = 64;
 constexpr size_t kMaxTrailRemovals = 8192;
 
 }  // namespace
+
+void ViewCatalog::BumpPlanEpoch() {
+  plan_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  plan_literal_keys_.clear();
+  for (const auto& entry : entries_) {
+    const ViewDefinition& def = entry->view.definition;
+    if (entry->state != ViewState::kReady || !def.has_predicate()) continue;
+    if (std::find(plan_literal_keys_.begin(), plan_literal_keys_.end(),
+                  def.predicate_property) == plan_literal_keys_.end()) {
+      plan_literal_keys_.push_back(def.predicate_property);
+    }
+  }
+}
+
+bool ViewCatalog::RefreshBaseStatsIfStale() {
+  if (!StatsAreStale(base_stats_, *base_)) return false;
+  base_stats_ = graph::GraphStats::Compute(*base_);
+  return true;
+}
+
+void ViewCatalog::NoteBaseGraphChanged() {
+  std::unique_lock lock(mu_);
+  BumpGeneration();
+  InvalidateSnapshot(kInvalidViewHandle);
+  if (RefreshBaseStatsIfStale()) BumpPlanEpoch();
+}
 
 void ViewCatalog::BumpGeneration() {
   const uint64_t gen = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -190,6 +214,7 @@ Result<ViewHandle> ViewCatalog::Add(const ViewDefinition& definition) {
     reclaim->health = Status::OK();
     InvalidateSnapshot(reclaim->handle);
     BumpGeneration();
+    BumpPlanEpoch();
     return reclaim->handle;
   }
 
@@ -203,6 +228,7 @@ Result<ViewHandle> ViewCatalog::Add(const ViewDefinition& definition) {
   ViewHandle handle = entry->handle;
   entries_.push_back(std::move(entry));
   BumpGeneration();
+  BumpPlanEpoch();
   return handle;
 }
 
@@ -257,6 +283,7 @@ Status ViewCatalog::Publish(ViewHandle handle, MaterializedView built) {
     RefreshStats(entry.get());
     entry->state = ViewState::kReady;
     BumpGeneration();
+    BumpPlanEpoch();
     // Defensive: a placeholder has no snapshot to patch from, and the
     // published graph shares no lineage with anything cached.
     InvalidateSnapshot(handle);
@@ -290,6 +317,7 @@ void ViewCatalog::QuarantineLocked(CatalogEntry* entry, Status reason) {
   InvalidateSnapshot(entry->handle);
   // Cached plans that routed queries to this view must stop matching.
   BumpGeneration();
+  BumpPlanEpoch();
 }
 
 Status ViewCatalog::Quarantine(ViewHandle handle, Status reason) {
@@ -323,6 +351,7 @@ Status ViewCatalog::Remove(const std::string& name) {
         snapshots_.erase(handle);
       }
       BumpGeneration();
+      BumpPlanEpoch();
       return Status::OK();
     }
   }
@@ -334,6 +363,7 @@ Status ViewCatalog::RefreshAll() {
   // Unconditional: even a no-op refresh may follow base-graph changes
   // that shifted raw-plan costs.
   BumpGeneration();
+  BumpPlanEpoch();
   for (const auto& entry : entries_) {
     // In-flight builds catch up at publish time; there is no view graph
     // to refresh yet.
@@ -348,7 +378,7 @@ Status ViewCatalog::RefreshAll() {
                 stats->edges_updated + stats->vertices_added +
                 stats->vertices_removed ==
                 0 &&
-            !StatsAreStale(*entry)) {
+            !StatsAreStale(entry->stats, entry->view.graph)) {
           // Nothing changed now and no drift was deferred by the
           // delta path: stats are exact already.
           continue;
@@ -382,9 +412,13 @@ Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
 Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
     const graph::GraphDelta& delta, graph::DeltaFootprintPtr footprint) {
   std::unique_lock lock(mu_);
-  // One generation bump covers the whole batch — plans cached against
-  // the pre-delta catalog stop matching exactly once.
+  // One generation bump covers the whole batch — snapshots of the
+  // pre-delta catalog stop matching exactly once.
   BumpGeneration();
+  // Plan choice only moves when a statistic the planner costs with
+  // does: a refreshed base or view summary, or a view rematerialized
+  // (quarantines move the epoch themselves).
+  bool plan_visible = RefreshBaseStatsIfStale();
   // The footprint describes exactly how the base graph moved: record it
   // on the base snapshot's delta trail so the next BaseSnapshot patches
   // instead of rebuilding.
@@ -432,8 +466,10 @@ Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
                                     stats->vertices_added +
                                     stats->vertices_removed !=
                                 0;
-        if (topology_changed && StatsAreStale(*entry)) {
+        if (topology_changed &&
+            StatsAreStale(entry->stats, entry->view.graph)) {
           RefreshStats(entry.get());
+          plan_visible = true;
         }
         continue;
       }
@@ -469,7 +505,9 @@ Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
     }
     ++report.views_rematerialized;
     RefreshStats(entry.get());
+    plan_visible = true;
   }
+  if (plan_visible) BumpPlanEpoch();
   return report;
 }
 

@@ -12,10 +12,17 @@
 ///
 /// Every mutation — registering a view, refreshing views, dropping a
 /// view, or an announced base-graph change — bumps a monotonic
-/// *generation* counter. Consumers that cache anything derived from the
-/// catalog (notably the `Planner`'s plan cache) key their entries by
-/// generation, which makes invalidation implicit: a stale generation
-/// simply never matches again.
+/// *generation* counter, which keys the CSR topology snapshots: a
+/// snapshot never outlives the graph state it was built from.
+///
+/// The catalog also holds the base graph's statistics beside each
+/// view's (the "graph data properties" of §V-A, built once and
+/// refreshed after updates), and a second counter, the *plan epoch*,
+/// that moves only on changes the planner can see: a view added,
+/// reclaimed, published, dropped or quarantined, `RefreshAll`, and any
+/// statistics refresh. A plain base delta that leaves every statistic
+/// within its drift threshold does not move it, so the `Planner`'s
+/// plan cache (keyed by plan epoch) survives write churn.
 ///
 /// Thread-safety: all methods are safe to call concurrently. Reads take a
 /// shared lock; mutations take an exclusive lock. `CatalogEntry` pointers
@@ -94,13 +101,10 @@ struct CatalogEntry {
   ViewHandle handle = kInvalidViewHandle;
   MaterializedView view;
   graph::GraphStats stats;
+  /// On the per-delta path `stats` may drift ~10% from the view before
+  /// the O(V log V) recompute runs again (plan costing tolerates that);
+  /// `RefreshAll` recomputes changed views exactly.
   std::unique_ptr<ViewMaintainer> maintainer;
-  /// Live view counts when `stats` was last computed. On the per-delta
-  /// path statistics may drift ~10% before the O(V log V) recompute
-  /// runs again (plan costing tolerates that); `RefreshAll` always
-  /// recomputes changed views exactly.
-  size_t stats_live_vertices = 0;
-  size_t stats_live_edges = 0;
   /// Lifecycle state; only `kReady` entries are planner-visible. For a
   /// `kBuilding` placeholder `view.graph` is empty and `maintainer` is
   /// null until `Publish`.
@@ -140,6 +144,7 @@ class ViewCatalog {
                        bool snapshot_patching = true, size_t shards = 1)
       : base_(base),
         snapshot_patching_(snapshot_patching),
+        base_stats_(graph::GraphStats::Compute(*base)),
         store_(shards >= 2 ? std::make_unique<SegmentStore>(base, shards)
                            : nullptr) {}
 
@@ -156,13 +161,13 @@ class ViewCatalog {
   ///
   /// `BeginBuild` registers a `kBuilding` placeholder — reserving the
   /// name, returning the handle the builder will publish under — without
-  /// materializing anything and *without* bumping the generation
-  /// (nothing planner-visible changed). The builder materializes off the
-  /// writer lock, then calls `Publish` to swap the finished view in,
-  /// attach its maintainer, refresh statistics, flip the entry to
-  /// `kReady`, and bump the generation — one short writer critical
-  /// section regardless of how long the build took. `AbortBuild`
-  /// discards the placeholder when the build fails.
+  /// materializing anything and *without* bumping the generation or the
+  /// plan epoch (nothing planner-visible changed). The builder
+  /// materializes off the writer lock, then calls `Publish` to swap the
+  /// finished view in, attach its maintainer, refresh statistics, flip
+  /// the entry to `kReady`, and bump both counters — one short writer
+  /// critical section regardless of how long the build took.
+  /// `AbortBuild` discards the placeholder when the build fails.
   /// @{
   Result<ViewHandle> BeginBuild(const ViewDefinition& definition);
   Status Publish(ViewHandle handle, MaterializedView built);
@@ -172,15 +177,15 @@ class ViewCatalog {
   /// Takes the entry out of service after a failure that left it unable
   /// to serve exact results: flips it to `kQuarantined`, records
   /// `reason` in `CatalogEntry::health`, detaches its maintainer, drops
-  /// its cached snapshot, and bumps the generation so cached plans that
-  /// referenced the view stop matching. The name stays reserved;
-  /// `BeginBuild`/`Add` with the same name reclaim the entry (rebuild),
-  /// and `Remove` drops it. Accepts `kReady` and `kBuilding` entries;
-  /// NotFound when the handle is not registered.
+  /// its cached snapshot, and bumps the generation and the plan epoch so
+  /// cached plans that referenced the view stop matching. The name stays
+  /// reserved; `BeginBuild`/`Add` with the same name reclaim the entry
+  /// (rebuild), and `Remove` drops it. Accepts `kReady` and `kBuilding`
+  /// entries; NotFound when the handle is not registered.
   Status Quarantine(ViewHandle handle, Status reason);
 
   /// Drops the view named `name` (marking it `kDropping` on the way
-  /// out). Plans cached against older generations stop matching;
+  /// out). Plans cached against older plan epochs stop matching;
   /// in-flight readers of the entry must be excluded by the caller (the
   /// Engine's writer lock does this). Dropping a `kBuilding` entry is
   /// refused (abort the build instead); dropping a `kQuarantined` entry
@@ -201,8 +206,10 @@ class ViewCatalog {
   /// incremental pass beats a from-scratch build, by re-materialization
   /// otherwise. `kBuilding` placeholders are skipped (the engine's
   /// pending-delta log replays the batch onto them at publish time).
-  /// Refreshes per-view statistics and bumps the generation exactly once
-  /// for the whole batch.
+  /// Bumps the generation exactly once for the whole batch. Base and
+  /// view statistics are recomputed only where the batch drifted them
+  /// past the staleness threshold, and only such a refresh (or a view
+  /// rematerialized or quarantined) moves the plan epoch.
   ///
   /// The batch's *footprint* (removal ids + insert counts; never the
   /// insert payloads) is recorded on the base graph's snapshot delta
@@ -219,18 +226,41 @@ class ViewCatalog {
   Result<DeltaMaintenanceReport> ApplyBaseDelta(const graph::GraphDelta& delta);
 
   /// Announces an out-of-band base-graph change (e.g. appended edges)
-  /// so generation-keyed caches are invalidated before the next refresh.
-  /// The base graph's snapshot trail cannot describe an arbitrary
-  /// mutation, so the next `BaseSnapshot` is a full rebuild.
-  void NoteBaseGraphChanged() {
-    BumpGeneration();
-    InvalidateSnapshot(kInvalidViewHandle);
-  }
+  /// so generation-keyed snapshots are invalidated before the next
+  /// refresh, and refreshes the base statistics when the change drifted
+  /// them past the staleness threshold. The base graph's snapshot trail
+  /// cannot describe an arbitrary mutation, so the next `BaseSnapshot`
+  /// is a full rebuild.
+  void NoteBaseGraphChanged();
 
   /// Monotonic counter: strictly increases on every catalog mutation or
   /// announced base-graph change. Starts at 1.
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
+  }
+
+  /// Monotonic counter of planner-visible changes: view add, reclaim,
+  /// `Publish`, drop, quarantine, `RefreshAll`, and every base or view
+  /// statistics refresh. Never moves on a base delta that leaves the
+  /// statistics within their drift threshold. Starts at 1.
+  uint64_t plan_epoch() const {
+    return plan_epoch_.load(std::memory_order_acquire);
+  }
+
+  /// Base-graph statistics for plan costing. Computed at construction
+  /// and recomputed under the writer lock by `ApplyBaseDelta` and
+  /// `NoteBaseGraphChanged` once live counts drift past the staleness
+  /// threshold (10%, with a floor of 32) or a vertex type appears. Same
+  /// read contract as entry contents: the caller prevents concurrent
+  /// catalog mutation.
+  const graph::GraphStats& base_stats() const { return base_stats_; }
+
+  /// Property keys whose WHERE constants decide whether some `kReady`
+  /// view can serve a query: the filter keys of predicate summarizers.
+  /// Every other constant is irrelevant to plan choice. Recomputed with
+  /// each plan-epoch move; same read contract as `base_stats`.
+  const std::vector<std::string>& plan_literal_keys() const {
+    return plan_literal_keys_;
   }
 
   /// Number of registered entries, in any state.
@@ -422,6 +452,15 @@ class ViewCatalog {
   /// Quarantine with `mu_` already held exclusively.
   void QuarantineLocked(CatalogEntry* entry, Status reason);
 
+  /// Moves the plan epoch and recomputes `plan_literal_keys_`. Caller
+  /// holds `mu_` exclusively.
+  void BumpPlanEpoch();
+
+  /// Recomputes `base_stats_` when the base graph drifted past the
+  /// staleness threshold; true when it did. Caller holds `mu_`
+  /// exclusively.
+  bool RefreshBaseStatsIfStale();
+
   const graph::PropertyGraph* base_;
   const bool snapshot_patching_;
   mutable std::shared_mutex mu_;
@@ -429,6 +468,11 @@ class ViewCatalog {
   std::vector<std::unique_ptr<CatalogEntry>> entries_;
   ViewHandle next_handle_ = 1;
   std::atomic<uint64_t> generation_{1};
+  std::atomic<uint64_t> plan_epoch_{1};
+  /// Written under `mu_` exclusively, read under the caller's exclusion
+  /// of writers (see `base_stats`).
+  graph::GraphStats base_stats_;
+  std::vector<std::string> plan_literal_keys_;
   /// Snapshot cache. Guarded by its own mutex: snapshot builds happen on
   /// the reader path (under the Engine's shared lock), where `mu_` may
   /// be held shared by many threads at once.

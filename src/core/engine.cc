@@ -614,6 +614,8 @@ EngineTelemetry Engine::TelemetrySnapshot() const {
   t.views_ready = catalog_.num_ready();
   t.plan_cache_hits = planner_.cache_hits();
   t.plan_cache_misses = planner_.cache_misses();
+  t.stale_plan_fallbacks =
+      stale_plan_fallbacks_.load(std::memory_order_relaxed);
   t.snapshot_hits = catalog_.snapshot_hits();
   t.snapshot_patches = catalog_.snapshot_patches();
   t.snapshot_full_builds = catalog_.snapshot_full_builds();
@@ -1069,6 +1071,9 @@ Result<ExecutionResult> Engine::RunPlan(
   // shared_ptr keeps the snapshot alive for the whole execution.
   const bool generation_current =
       plan.planned_generation == catalog_.generation();
+  if (!generation_current) {
+    stale_plan_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  }
   if (plan.view_name.empty()) {
     if (generation_current) snapshot = catalog_.BaseSnapshot();
   } else {
@@ -1089,8 +1094,7 @@ Result<ExecutionResult> Engine::RunPlan(
   // degrades this execution to the legacy backend — slower, still exact.
   query::QueryExecutor executor(target, snapshot.get(), exec_options);
   query::ExecutionTiming timing;
-  Result<query::Table> table =
-      executor.ExecuteText(plan.executed_query, &timing);
+  Result<query::Table> table = executor.Execute(*plan.executed_ast, &timing);
   // Count clock tests even for failed (expired) executions — those are
   // exactly the ones the overload telemetry is about.
   deadline_checks_.fetch_add(timing.deadline_checks,
@@ -1114,23 +1118,15 @@ Result<ExecutionResult> Engine::ExecutePlannedLocked(
   if (result.ok()) {
     traversal_expansions_.fetch_add(result->expansions,
                                     std::memory_order_relaxed);
-    tracker_.Record(plan.canonical_query, result->latency_us,
-                    plan.estimated_cost, result->used_view, result->view_name,
-                    /*fused=*/false);
+    tracker_.Record(plan.template_key, plan.canonical_query,
+                    result->latency_us, plan.estimated_cost, result->used_view,
+                    result->view_name, /*fused=*/false);
   }
   return result;
 }
 
-Result<ExecutionResult> Engine::ExecuteUnderLock(
-    const std::string& query_text,
-    std::chrono::steady_clock::time_point deadline) {
-  KASKADE_ASSIGN_OR_RETURN(Plan plan,
-                           planner_.PlanFor(query_text, base_, catalog_));
-  return ExecutePlannedLocked(plan, deadline);
-}
-
-Result<ExecutionResult> Engine::Execute(const std::string& query_text,
-                                        const CallOptions& call) {
+Result<ExecutionResult> Engine::ExecuteAdmitted(
+    const CallOptions& call, const std::function<Result<Plan>()>& plan_query) {
   Status admitted = AdmitQuery();
   if (!admitted.ok()) {
     queries_shed_.fetch_add(1, std::memory_order_relaxed);
@@ -1139,7 +1135,11 @@ Result<ExecutionResult> Engine::Execute(const std::string& query_text,
   Result<ExecutionResult> result = Status::Internal("unreachable");
   {
     std::shared_lock lock(mu_);
-    result = ExecuteUnderLock(query_text, EffectiveDeadline(call));
+    const std::chrono::steady_clock::time_point deadline =
+        EffectiveDeadline(call);
+    Result<Plan> plan = plan_query();
+    result = plan.ok() ? ExecutePlannedLocked(*plan, deadline)
+                       : Result<ExecutionResult>(plan.status());
   }
   ReleaseQuery();
   if (!result.ok() &&
@@ -1152,11 +1152,19 @@ Result<ExecutionResult> Engine::Execute(const std::string& query_text,
   return result;
 }
 
+Result<ExecutionResult> Engine::Execute(const std::string& query_text,
+                                        const CallOptions& call) {
+  return ExecuteAdmitted(
+      call, [&] { return planner_.PlanFor(query_text, base_, catalog_); });
+}
+
 Result<ExecutionResult> Engine::Execute(const query::Query& query,
                                         const CallOptions& call) {
-  // Render to canonical text so both overloads share one plan-cache
-  // path and one workload-tracker entry.
-  return Execute(query.ToString(), call);
+  // Planned from the AST as given; both overloads share one template
+  // key, so they share plan-cache and workload-tracker entries.
+  return ExecuteAdmitted(call, [&] {
+    return planner_.PlanFor(query.Clone(), base_, catalog_);
+  });
 }
 
 void Engine::RunFusedGroupLocked(
@@ -1235,8 +1243,9 @@ void Engine::RunFusedGroupLocked(
     result.latency_us = per_member_us;
     result.expansions = stats.expansions;
     result.fused = true;
-    tracker_.Record(plan.canonical_query, per_member_us, plan.estimated_cost,
-                    result.used_view, result.view_name, /*fused=*/true);
+    tracker_.Record(plan.template_key, plan.canonical_query, per_member_us,
+                    plan.estimated_cost, result.used_view, result.view_name,
+                    /*fused=*/true);
     (*slots)[slot].emplace(std::move(result));
   }
 }

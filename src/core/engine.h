@@ -25,9 +25,10 @@
 /// (the drop/schedule step), and `MutateBaseGraph` are *writers* — each
 /// runs exclusively, via a `std::shared_mutex`, so readers observe
 /// either the pre-delta or the post-delta catalog generation, never a
-/// torn view. The planner's plan cache is keyed by the catalog's
-/// generation counter, so every writer implicitly invalidates cached
-/// plans.
+/// torn view. The planner's plan cache is keyed by query template and
+/// the catalog's plan epoch, which only planner-visible writers move
+/// (view changes, statistics refreshes): cached plans survive ordinary
+/// base-graph writes and are re-bound to each query's literals.
 ///
 /// View materializations scheduled by `ApplyAdvice` do **not** run under
 /// the writer lock: a background worker pins the base under a brief
@@ -173,7 +174,7 @@ struct RecoveryReport {
 struct EngineOptions {
   SelectorOptions selector;
   query::ExecutorOptions executor;
-  /// Plan-cache sizing; `planner.eval_cost` is overridden by
+  /// Plan-template cache sizing; `planner.eval_cost` is overridden by
   /// `selector.cost.eval` so plan choice and view selection always cost
   /// queries identically.
   PlannerOptions planner;
@@ -273,6 +274,11 @@ struct EngineTelemetry {
   size_t views_ready = 0;
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
+  /// Executions whose plan was bound at an older catalog generation than
+  /// the one they ran under, which drops them to the legacy backend.
+  /// Always 0 while plans are bound under the reader lock that runs
+  /// them; a non-zero value means a mis-stamped plan.
+  size_t stale_plan_fallbacks = 0;
   size_t snapshot_hits = 0;
   size_t snapshot_patches = 0;
   size_t snapshot_full_builds = 0;
@@ -283,6 +289,8 @@ struct EngineTelemetry {
   size_t auto_advises = 0;
   size_t auto_advise_errors = 0;
   uint64_t queries_recorded = 0;
+  /// Distinct query templates the workload tracker holds (queries that
+  /// differ only in constants count once).
   size_t distinct_queries = 0;
   /// \name Batch cross-query fusion (ExecuteBatch shape groups).
   /// @{
@@ -547,16 +555,17 @@ class Engine {
   /// removals — to the base graph under the writer lock, then routes the
   /// delta to every registered view (incrementally where the maintainer
   /// and cost model allow, re-materializing otherwise). The catalog
-  /// generation is bumped exactly once per batch, so cached plans are
-  /// invalidated once, not per edge. Views are exact when this returns;
-  /// no `RefreshViews` needed. While background builds are in flight the
-  /// batch is also logged so just-built views can replay it at publish
-  /// time. Writer.
+  /// generation is bumped exactly once per batch; cached plans survive
+  /// unless the batch drifted statistics past their refresh threshold.
+  /// Views are exact when this returns; no `RefreshViews` needed. While
+  /// background builds are in flight the batch is also logged so
+  /// just-built views can replay it at publish time. Writer.
   Result<DeltaReport> ApplyDelta(graph::GraphDelta delta);
 
   /// Escape hatch: applies an arbitrary `mutation` to the base graph
-  /// under the writer lock and bumps the catalog generation
-  /// (invalidating cached plans). Call `RefreshViews` afterwards; for
+  /// under the writer lock and bumps the catalog generation (cached
+  /// plans survive unless the base statistics drifted past their
+  /// refresh threshold). Call `RefreshViews` afterwards; for
   /// appended edges the views catch up incrementally, while mutations
   /// that *remove* edges force the affected views to re-materialize
   /// (`ApplyDelta` is the efficient path for deletions). In-flight
@@ -567,9 +576,9 @@ class Engine {
 
   /// Query rewriter + execution (§V-C): evaluates `query_text` via the
   /// cheapest available plan (raw graph or one materialized view),
-  /// consulting the planner's generation-keyed plan cache. Successful
+  /// consulting the planner's template-keyed plan cache. Successful
   /// executions are recorded with the workload tracker under the
-  /// query's canonical text. Subject to the admission gate (rejections
+  /// query's template key. Subject to the admission gate (rejections
   /// return `kUnavailable` without touching the graph) and to the
   /// effective deadline (`call.deadline`, else
   /// `default_query_deadline`), which fails the execution with
@@ -580,9 +589,9 @@ class Engine {
     return Execute(query_text, CallOptions{});
   }
 
-  /// As above for a pre-parsed query: the query is rendered to its
-  /// canonical text so both overloads share one plan-cache path and one
-  /// tracker entry. Reader.
+  /// As above for a pre-parsed query, planned from the AST as given (no
+  /// render-and-reparse). Both overloads share one template key, hence
+  /// one plan-cache entry and one tracker entry. Reader.
   Result<ExecutionResult> Execute(const query::Query& query,
                                   const CallOptions& call = {});
 
@@ -606,6 +615,10 @@ class Engine {
   /// @{
   size_t plan_cache_hits() const { return planner_.cache_hits(); }
   size_t plan_cache_misses() const { return planner_.cache_misses(); }
+  /// See `EngineTelemetry::stale_plan_fallbacks`.
+  size_t stale_plan_fallbacks() const {
+    return stale_plan_fallbacks_.load(std::memory_order_relaxed);
+  }
   /// @}
 
   /// \name Batch-fusion telemetry.
@@ -729,11 +742,10 @@ class Engine {
   Result<ExecutionResult> ExecutePlannedLocked(
       const Plan& plan, std::chrono::steady_clock::time_point deadline);
 
-  /// Plan + run one query text, recording the observation on success.
-  /// Caller holds the reader lock.
-  Result<ExecutionResult> ExecuteUnderLock(
-      const std::string& query_text,
-      std::chrono::steady_clock::time_point deadline);
+  /// One `Execute` call: admission, then `plan_query` and the solo run
+  /// under the reader lock, then the auto-advise trigger.
+  Result<ExecutionResult> ExecuteAdmitted(
+      const CallOptions& call, const std::function<Result<Plan>()>& plan_query);
 
   /// Runs one fused shape group (all plans share `shape_key`, view and
   /// generation) and fills each member's slot; falls back to solo
@@ -926,6 +938,7 @@ class Engine {
   std::atomic<size_t> queries_timed_out_{0};
   /// mutable: accumulated by the const `RunPlan` on the reader path.
   mutable std::atomic<uint64_t> deadline_checks_{0};
+  mutable std::atomic<size_t> stale_plan_fallbacks_{0};
   std::atomic<size_t> batch_worker_faults_{0};
 
   /// \name Periodic auto-advise trigger state.

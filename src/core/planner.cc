@@ -1,9 +1,10 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/rewriter.h"
-#include "graph/stats.h"
+#include "graph/serialization.h"
 #include "query/parser.h"
 
 namespace kaskade::core {
@@ -60,6 +61,45 @@ std::string MatchShapeKey(const query::MatchQuery& match) {
   return key;
 }
 
+/// Plan-cache key of `query` (see planner.h): the MATCH shape plus the
+/// constants a predicate-summarizer rewrite reads (length-prefixed, so
+/// values cannot run together), or the canonical text of a SELECT.
+std::string TemplateKey(const query::Query& query,
+                        const std::string& canonical,
+                        const std::vector<std::string>& literal_keys) {
+  if (!query.is_match()) return canonical;
+  std::string key = MatchShapeKey(query.match());
+  for (const query::Condition& c : query.match().where) {
+    if (std::find(literal_keys.begin(), literal_keys.end(),
+                  c.lhs.property) == literal_keys.end()) {
+      continue;
+    }
+    const std::string value = graph::EncodePropertyValue(c.rhs);
+    key += "c|";
+    key += std::to_string(value.size());
+    key += ':';
+    key += value;
+    key += ';';
+  }
+  return key;
+}
+
+/// Records `executed` (rendered as `text`) as what `plan` runs: its
+/// text, its AST, and (for a bare MATCH) the fusion shape.
+void SetExecuted(query::Query executed, std::string text, Plan* plan) {
+  plan->executed_query = std::move(text);
+  auto ast = std::make_shared<const query::Query>(std::move(executed));
+  if (ast->is_match()) {
+    plan->shape_key = MatchShapeKey(ast->match());
+    plan->match_ast =
+        std::shared_ptr<const query::MatchQuery>(ast, &ast->match());
+  } else {
+    plan->shape_key.clear();
+    plan->match_ast.reset();
+  }
+  plan->executed_ast = std::move(ast);
+}
+
 }  // namespace
 
 Planner::Planner(PlannerOptions options)
@@ -73,18 +113,14 @@ Status Planner::ChoosePlan(const query::Query& query,
                            const graph::PropertyGraph& base,
                            const ViewCatalog& catalog, Plan* plan) const {
   // Plan 0: the raw graph.
-  graph::GraphStats base_stats = graph::GraphStats::Compute(base);
-  plan->estimated_cost =
-      query::EstimateEvalCost(query, base, base_stats, options_.eval_cost);
+  plan->estimated_cost = query::EstimateEvalCost(
+      query, base, catalog.base_stats(), options_.eval_cost);
   plan->view_name.clear();
-  plan->executed_query = query.ToString();
-  plan->canonical_query = plan->executed_query;
+  plan->canonical_query = query.ToString();
+  plan->template_key = TemplateKey(query, plan->canonical_query,
+                                   catalog.plan_literal_keys());
   plan->planned_generation = catalog.generation();
-  plan->shape_key.clear();
-  plan->match_ast.reset();
-  if (query.is_match()) {
-    plan->match_ast = std::make_shared<query::MatchQuery>(query.match());
-  }
+  std::optional<query::Query> best;
 
   // Plans 1..n: one per *ready* materialized view (single-view
   // rewritings, §V-C). Entries mid-build or mid-drop are never planned
@@ -99,48 +135,91 @@ Status Planner::ChoosePlan(const query::Query& query,
     if (cost < plan->estimated_cost) {
       plan->estimated_cost = cost;
       plan->view_name = entry->name();
-      plan->executed_query = rewritten->ToString();
-      // The winning AST must be captured here: `rewritten` dies with
-      // this loop iteration.
-      plan->match_ast =
-          rewritten->is_match()
-              ? std::make_shared<query::MatchQuery>(rewritten->match())
-              : nullptr;
+      best = std::move(*rewritten);
     }
   }
-  if (plan->match_ast != nullptr) {
-    plan->shape_key = MatchShapeKey(*plan->match_ast);
+  if (best.has_value()) {
+    std::string text = best->ToString();
+    SetExecuted(std::move(*best), std::move(text), plan);
+  } else {
+    SetExecuted(query.Clone(), plan->canonical_query, plan);
   }
+  return Status::OK();
+}
+
+Status Planner::Bind(query::Query* query, const PlanTemplate& chosen,
+                     const graph::PropertyGraph& base,
+                     const ViewCatalog& catalog, Plan* plan) const {
+  query::Query executed;
+  std::string text;
+  if (chosen.view_name.empty()) {
+    executed = std::move(*query);
+    text = plan->canonical_query;
+  } else {
+    const CatalogEntry* entry = catalog.Find(chosen.view_name);
+    if (entry == nullptr || entry->state != ViewState::kReady) {
+      return Status::NotFound("view '" + chosen.view_name + "' not ready");
+    }
+    KASKADE_ASSIGN_OR_RETURN(
+        executed,
+        RewriteQueryWithView(*query, entry->view.definition, base.schema()));
+    text = executed.ToString();
+  }
+  plan->view_name = chosen.view_name;
+  plan->estimated_cost = chosen.estimated_cost;
+  plan->planned_generation = catalog.generation();
+  SetExecuted(std::move(executed), std::move(text), plan);
   return Status::OK();
 }
 
 Result<Plan> Planner::PlanFor(const std::string& query_text,
                               const graph::PropertyGraph& base,
                               const ViewCatalog& catalog) {
-  CacheKey key{query_text, catalog.generation()};
+  KASKADE_ASSIGN_OR_RETURN(query::Query query,
+                           query::ParseQueryText(query_text));
+  return PlanFor(std::move(query), base, catalog);
+}
+
+Result<Plan> Planner::PlanFor(query::Query query,
+                              const graph::PropertyGraph& base,
+                              const ViewCatalog& catalog) {
+  Plan plan;
+  plan.canonical_query = query.ToString();
+  plan.template_key = TemplateKey(query, plan.canonical_query,
+                                  catalog.plan_literal_keys());
+  CacheKey key{plan.template_key, catalog.plan_epoch()};
   const bool cache_enabled = options_.cache_capacity > 0;
   if (cache_enabled) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
+    std::optional<PlanTemplate> cached;
+    {
+      Shard& shard = ShardFor(key);
+      std::lock_guard<std::mutex> lock(shard.mu);
+      auto it = shard.index.find(key);
+      if (it != shard.index.end()) {
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        cached = it->second->second;
+      }
+    }
+    // A failed bind cannot happen while the epoch holds, but a stale
+    // template must never be served: it falls through to a full search.
+    if (cached.has_value() &&
+        Bind(&query, *cached, base, catalog, &plan).ok()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->second;
+      return plan;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-
-  KASKADE_ASSIGN_OR_RETURN(query::Query query,
-                           query::ParseQueryText(query_text));
-  Plan plan;
   KASKADE_RETURN_IF_ERROR(ChoosePlan(query, base, catalog, &plan));
 
   if (cache_enabled) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.index.find(key) == shard.index.end()) {
-      shard.lru.emplace_front(key, plan);
+    PlanTemplate chosen{plan.view_name, plan.estimated_cost};
+    auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      it->second->second = std::move(chosen);
+    } else {
+      shard.lru.emplace_front(key, std::move(chosen));
       shard.index.emplace(key, shard.lru.begin());
       while (shard.lru.size() > per_shard_capacity_) {
         shard.index.erase(shard.lru.back().first);

@@ -7,24 +7,26 @@ namespace kaskade::core {
 WorkloadTracker::WorkloadTracker(size_t stripes)
     : stripes_(std::max<size_t>(1, stripes)) {}
 
-void WorkloadTracker::Record(const std::string& canonical_text,
+void WorkloadTracker::Record(const std::string& key,
+                             const std::string& canonical_text,
                              double latency_us, double estimated_cost,
                              bool used_view, const std::string& view_name,
                              bool fused) {
-  // Bound distinct texts per stripe (workloads with per-request literals
-  // would otherwise grow the maps toward OOM and slow every advice
-  // round). New texts past the cap are not tracked — the established
-  // hot set, which is what advice is about, keeps aggregating.
+  // Bound distinct keys per stripe (an unbounded key space would grow
+  // the maps toward OOM and slow every advice round). New keys past the
+  // cap are not tracked — the established hot set, which is what advice
+  // is about, keeps aggregating.
   constexpr size_t kMaxDistinctPerStripe = 4096;
-  Stripe& stripe = StripeFor(canonical_text);
+  Stripe& stripe = StripeFor(key);
   {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    if (stripe.entries.size() >= kMaxDistinctPerStripe &&
-        stripe.entries.find(canonical_text) == stripe.entries.end()) {
-      return;
+    auto it = stripe.entries.find(key);
+    if (it == stripe.entries.end()) {
+      if (stripe.entries.size() >= kMaxDistinctPerStripe) return;
+      it = stripe.entries.emplace(key, QueryObservation{}).first;
+      it->second.query_text = canonical_text;
     }
-    QueryObservation& obs = stripe.entries[canonical_text];
-    if (obs.executions == 0) obs.query_text = canonical_text;
+    QueryObservation& obs = it->second;
     ++obs.executions;
     obs.total_latency_us += latency_us;
     obs.total_estimated_cost += estimated_cost;

@@ -6,11 +6,17 @@
 /// per-query importance weights ("frequency or expected execution
 /// time"). In the original reproduction that workload had to be handed
 /// in explicitly; the tracker closes the loop by observing every
-/// `Engine::Execute` / `ExecuteBatch` call — canonical query text,
-/// execution count, measured latency, the planner's estimated cost, and
-/// view-hit provenance — so the advisor (`core/advisor.h`) can re-run
-/// view selection against what the system is *really* asked, not what
-/// someone predicted.
+/// `Engine::Execute` / `ExecuteBatch` call — execution count, measured
+/// latency, the planner's estimated cost, and view-hit provenance — so
+/// the advisor (`core/advisor.h`) can re-run view selection against what
+/// the system is *really* asked, not what someone predicted.
+///
+/// The engine aggregates by the plan's *template key*
+/// (`Plan::template_key`): queries that differ only in WHERE constants
+/// share one entry, represented by the first canonical text seen. Advice
+/// reads no WHERE constants and execution weights sum linearly, so this
+/// advises exactly as per-text entries would, while a literal-heavy
+/// workload costs one entry per query shape instead of one per literal.
 ///
 /// Concurrency: `Record` is called on the engine's read (query) path by
 /// many threads at once, so it must be cheap and must not serialize
@@ -34,9 +40,11 @@
 
 namespace kaskade::core {
 
-/// \brief Aggregated observations for one canonical query text.
+/// \brief Aggregated observations for one query template.
 struct QueryObservation {
-  std::string query_text;        ///< Canonical (parsed-and-rendered) text.
+  /// Canonical (parsed-and-rendered) text of the first execution
+  /// recorded under this entry's key — the advisor's representative.
+  std::string query_text;
   uint64_t executions = 0;       ///< Times the query ran successfully.
   double total_latency_us = 0;   ///< Sum of measured execution latencies.
   double total_estimated_cost = 0;  ///< Sum of planner cost estimates.
@@ -54,7 +62,7 @@ struct QueryObservation {
 
 /// \brief A merged, point-in-time copy of the tracker state.
 struct WorkloadSnapshot {
-  /// One entry per distinct canonical query text, sorted by descending
+  /// One entry per distinct key, sorted by descending
   /// execution count (ties broken by text) so consumers are
   /// deterministic.
   std::vector<QueryObservation> entries;
@@ -69,17 +77,25 @@ class WorkloadTracker {
   WorkloadTracker(const WorkloadTracker&) = delete;
   WorkloadTracker& operator=(const WorkloadTracker&) = delete;
 
-  /// Records one successful execution of `canonical_text`. Distinct
-  /// texts are bounded per stripe; once a stripe is full, executions of
-  /// texts it has never seen are dropped (the established hot set keeps
-  /// aggregating), so literal-heavy workloads cannot grow the tracker
-  /// without bound.
+  /// Records one successful execution under `key`; `canonical_text`
+  /// becomes the entry's representative when the key is new. Distinct
+  /// keys are bounded per stripe; once a stripe is full, executions
+  /// under keys it has never seen are dropped (the established hot set
+  /// keeps aggregating), so the tracker cannot grow without bound.
   /// `fused` marks an execution that ran as a member of a fused batch
   /// group (its latency is the group's wall clock split evenly across
   /// members).
+  void Record(const std::string& key, const std::string& canonical_text,
+              double latency_us, double estimated_cost, bool used_view,
+              const std::string& view_name, bool fused = false);
+
+  /// As above, keyed by the text itself.
   void Record(const std::string& canonical_text, double latency_us,
               double estimated_cost, bool used_view,
-              const std::string& view_name, bool fused = false);
+              const std::string& view_name, bool fused = false) {
+    Record(canonical_text, canonical_text, latency_us, estimated_cost,
+           used_view, view_name, fused);
+  }
 
   /// Merges every stripe into a deterministic snapshot. Concurrent
   /// `Record` calls are never blocked for the whole merge (stripes are
@@ -105,7 +121,8 @@ class WorkloadTracker {
     return total_.load(std::memory_order_relaxed);
   }
 
-  /// Number of distinct query texts currently tracked.
+  /// Number of distinct keys (for the engine: query templates) currently
+  /// tracked.
   size_t distinct_queries() const;
 
  private:
@@ -114,8 +131,8 @@ class WorkloadTracker {
     std::unordered_map<std::string, QueryObservation> entries;
   };
 
-  Stripe& StripeFor(const std::string& text) const {
-    return stripes_[std::hash<std::string>{}(text) % stripes_.size()];
+  Stripe& StripeFor(const std::string& key) const {
+    return stripes_[std::hash<std::string>{}(key) % stripes_.size()];
   }
 
   mutable std::vector<Stripe> stripes_;

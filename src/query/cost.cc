@@ -14,8 +14,11 @@ constexpr double kCostCap = 1e30;
 double ExpansionFactor(const graph::GraphStats& stats,
                        graph::VertexTypeId type,
                        const CostModelOptions& options) {
+  // Any-type nodes (kInvalidTypeId) and types newer than the statistics
+  // (which refresh on drift, not on every write) use the graph-wide
+  // summary.
   const graph::TypeDegreeSummary& summary =
-      type == graph::kInvalidTypeId ? stats.overall() : stats.ForType(type);
+      type < stats.per_type().size() ? stats.ForType(type) : stats.overall();
   return std::max(summary.Percentile(options.degree_alpha),
                   options.min_expansion);
 }

@@ -839,5 +839,68 @@ TEST(PlanCacheTest, CatalogChangesInvalidate) {
   EXPECT_EQ(engine.plan_cache_misses(), 2u);
 }
 
+TEST(PlanCacheTest, PlanEpochMovesOnlyOnPlannerVisibleChanges) {
+  PropertyGraph base = datasets::MakeProvenanceGraph(
+      {.num_jobs = 50, .num_files = 100, .include_auxiliary = false});
+  core::ViewCatalog catalog(&base);
+  // Base statistics are built with the catalog, not per plan.
+  EXPECT_EQ(catalog.base_stats().num_vertices(), base.NumLiveVertices());
+  EXPECT_EQ(catalog.base_stats().num_edges(), base.NumLiveEdges());
+
+  uint64_t epoch = catalog.plan_epoch();
+  auto moved = [&] {
+    const bool result = catalog.plan_epoch() > epoch;
+    epoch = catalog.plan_epoch();
+    return result;
+  };
+  ASSERT_TRUE(catalog.Add(JobConnector(2)).ok());
+  EXPECT_TRUE(moved());
+
+  // A small base delta moves the generation (snapshots) but not the
+  // plan epoch: every statistic stays within its drift threshold.
+  graph::GraphDelta small;
+  small.AddEdge(0, static_cast<VertexId>(50), "WRITES_TO", {});
+  const uint64_t generation = catalog.generation();
+  ASSERT_TRUE(graph::ApplyDeltaToGraph(&base, small).ok());
+  ASSERT_TRUE(catalog.ApplyBaseDelta(small).ok());
+  EXPECT_GT(catalog.generation(), generation);
+  EXPECT_FALSE(moved());
+  catalog.NoteBaseGraphChanged();
+  EXPECT_FALSE(moved());
+
+  // Past the threshold the base statistics are recomputed, and that is
+  // planner-visible.
+  graph::GraphDelta growth;
+  for (int i = 0; i < 40; ++i) growth.AddVertex("File");
+  ASSERT_TRUE(graph::ApplyDeltaToGraph(&base, growth).ok());
+  ASSERT_TRUE(catalog.ApplyBaseDelta(growth).ok());
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(catalog.base_stats().num_vertices(), base.NumLiveVertices());
+  // ... as is an out-of-band change of the same size.
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(base.AddVertex("File", {}).ok());
+  catalog.NoteBaseGraphChanged();
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(catalog.base_stats().num_vertices(), base.NumLiveVertices());
+
+  ASSERT_TRUE(catalog.RefreshAll().ok());
+  EXPECT_TRUE(moved());
+  const core::CatalogEntry* entry = catalog.Find(JobConnector(2).Name());
+  ASSERT_NE(entry, nullptr);
+  ASSERT_TRUE(
+      catalog.Quarantine(entry->handle, Status::Internal("test")).ok());
+  EXPECT_TRUE(moved());
+  // Reclaiming a quarantined entry as a build placeholder is invisible
+  // until the build publishes.
+  auto handle = catalog.BeginBuild(JobConnector(2));
+  ASSERT_TRUE(handle.ok());
+  EXPECT_FALSE(moved());
+  auto built = core::Materialize(base, JobConnector(2));
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(catalog.Publish(*handle, std::move(*built)).ok());
+  EXPECT_TRUE(moved());
+  ASSERT_TRUE(catalog.Remove(JobConnector(2).Name()).ok());
+  EXPECT_TRUE(moved());
+}
+
 }  // namespace
 }  // namespace kaskade

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -163,17 +164,6 @@ TEST(PlanCacheTest, InvalidatedByRefreshViews) {
   ASSERT_TRUE(engine.Execute(text).ok());
   EXPECT_EQ(engine.plan_cache_misses(), 2u);  // stale generation: miss
   EXPECT_EQ(engine.plan_cache_hits(), 1u);    // telemetry preserved
-}
-
-TEST(PlanCacheTest, InvalidatedByBaseGraphMutation) {
-  Engine engine(SmallProv());
-  const std::string text = datasets::AncestorsQueryText("Job", 4);
-  ASSERT_TRUE(engine.Execute(text).ok());
-  EXPECT_EQ(engine.plan_cache_misses(), 1u);
-  ASSERT_TRUE(AppendJob(&engine).ok());
-  ASSERT_TRUE(engine.Execute(text).ok());
-  EXPECT_EQ(engine.plan_cache_misses(), 2u);
-  EXPECT_EQ(engine.plan_cache_hits(), 0u);
 }
 
 TEST(PlanCacheTest, RepeatedQueriesHitWithoutIntermediateChanges) {
@@ -612,6 +602,8 @@ TEST(ConcurrencyTest, ApplyDeltaRacingReadersSeesOnlyDeltaBoundaries) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(reader_failures.load(), 0);
   EXPECT_EQ(torn_results.load(), 0);
+  // Plans cached before a write are re-bound after it, never run stale.
+  EXPECT_EQ(engine.stale_plan_fallbacks(), 0u);
 
   // After the dust settles the view-backed answer matches the reference
   // final state, and the rewrite is still in play.
@@ -619,6 +611,183 @@ TEST(ConcurrencyTest, ApplyDeltaRacingReadersSeesOnlyDeltaBoundaries) {
   ASSERT_TRUE(final_result.ok());
   EXPECT_TRUE(final_result->used_view);
   EXPECT_EQ(final_result->table.num_rows(), final_rows);
+}
+
+// ---------------------------------------------------------------------------
+// Plan templates: literal-free keys, catalog statistics, plan epoch
+// ---------------------------------------------------------------------------
+
+/// An anchored 2-hop Job->Job read (the JobConnector serves it); only
+/// the job name varies.
+std::string AnchoredRead(const std::string& job) {
+  return "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) "
+         "WHERE a.name = '" + job + "' RETURN a, b";
+}
+
+std::vector<query::Table::Row> SortedRows(const query::Table& table) {
+  std::vector<query::Table::Row> rows = table.rows();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Sorted rows of `text` on a fresh engine over the same base graph and
+/// ready views: the answer no cached state can have influenced. (A
+/// maintained view numbers its vertices differently from a fresh one,
+/// so row order may differ; the row multiset may not.)
+std::vector<query::Table::Row> FreshRows(const Engine& engine,
+                                         const std::string& text) {
+  Engine fresh{PropertyGraph(engine.base_graph())};
+  for (const CatalogEntry* entry : engine.catalog().Entries()) {
+    if (entry->state != ViewState::kReady) continue;
+    EXPECT_TRUE(fresh.AddMaterializedView(entry->view.definition).ok());
+  }
+  auto result = fresh.Execute(text);
+  EXPECT_TRUE(result.ok()) << result.status();
+  return result.ok() ? SortedRows(result->table)
+                     : std::vector<query::Table::Row>{};
+}
+
+TEST(PlanCacheTest, LiteralsOfOneShapeShareOnePlanTemplate) {
+  Engine engine(SmallProv());
+  ASSERT_TRUE(engine.AddMaterializedView(JobConnector()).ok());
+  auto first = engine.Execute(AnchoredRead("job_3"));
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(first->used_view);
+  EXPECT_EQ(engine.plan_cache_misses(), 1u);
+
+  auto second = engine.Execute(AnchoredRead("job_7"));
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(engine.plan_cache_misses(), 1u);
+  EXPECT_EQ(engine.plan_cache_hits(), 1u);
+  EXPECT_EQ(second->view_name, first->view_name);
+  // The hit was bound to its own literal, not the cached one.
+  EXPECT_NE(second->executed_query.find("job_7"), std::string::npos);
+  EXPECT_EQ(SortedRows(second->table),
+            FreshRows(engine, AnchoredRead("job_7")));
+  EXPECT_EQ(SortedRows(first->table), FreshRows(engine, AnchoredRead("job_3")));
+  // One template, one tracker entry, represented by the first text.
+  WorkloadSnapshot workload = engine.workload().Snapshot();
+  ASSERT_EQ(workload.entries.size(), 1u);
+  EXPECT_EQ(workload.entries[0].executions, 2u);
+  EXPECT_NE(workload.entries[0].query_text.find("job_3"), std::string::npos);
+}
+
+TEST(PlanCacheTest, PredicateViewLiteralsKeepSeparateTemplates) {
+  // A predicate summarizer serves only queries carrying its exact
+  // constant on every node, so those constants stay in the template
+  // key: each literal keeps its own (different) plan.
+  Engine engine(SmallProv());
+  ViewDefinition hot;
+  hot.kind = ViewKind::kVertexInclusionSummarizer;
+  hot.type_list = {"Job", "File"};
+  hot.predicate_property = "CPU";
+  hot.predicate_op = PredicateOp::kGt;
+  hot.predicate_value = PropertyValue(50.0);
+  ASSERT_TRUE(engine.AddMaterializedView(hot).ok());
+  const std::string covered =
+      "MATCH (a:Job)-[:WRITES_TO]->(f:File) "
+      "WHERE a.CPU > 50.0 AND f.CPU > 50.0 RETURN a, f";
+  const std::string uncovered =
+      "MATCH (a:Job)-[:WRITES_TO]->(f:File) "
+      "WHERE a.CPU > 60.0 AND f.CPU > 60.0 RETURN a, f";
+  for (int round = 0; round < 2; ++round) {
+    auto c = engine.Execute(covered);
+    ASSERT_TRUE(c.ok()) << c.status();
+    EXPECT_TRUE(c->used_view);
+    auto u = engine.Execute(uncovered);
+    ASSERT_TRUE(u.ok()) << u.status();
+    EXPECT_FALSE(u->used_view);
+  }
+  EXPECT_EQ(engine.plan_cache_misses(), 2u);
+  EXPECT_EQ(engine.plan_cache_hits(), 2u);
+}
+
+TEST(PlanCacheTest, SmallBaseWritesKeepThePlanDriftReplans) {
+  Engine engine(SmallProv());
+  ASSERT_TRUE(engine.AddMaterializedView(JobConnector()).ok());
+  ASSERT_TRUE(engine.Execute(AnchoredRead("job_1")).ok());
+  EXPECT_EQ(engine.plan_cache_misses(), 1u);
+
+  // Small writes through both writer APIs leave every statistic within
+  // its drift threshold: the plan epoch holds and the template is
+  // re-bound, at the new generation, to the post-write graph.
+  const uint64_t epoch = engine.catalog().plan_epoch();
+  std::vector<graph::GraphDelta> deltas =
+      MakeDeltaSequence(engine.base_graph(), 6);
+  for (const graph::GraphDelta& delta : deltas) {
+    ASSERT_TRUE(engine.ApplyDelta(delta).ok());
+    auto r = engine.Execute(AnchoredRead("job_0"));
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_TRUE(r->used_view);
+    EXPECT_EQ(SortedRows(r->table), FreshRows(engine, AnchoredRead("job_0")));
+  }
+  ASSERT_TRUE(AppendJob(&engine).ok());
+  ASSERT_TRUE(engine.RefreshViews().ok());  // moves the epoch itself
+  const uint64_t refreshed = engine.catalog().plan_epoch();
+  EXPECT_GT(refreshed, epoch);
+  ASSERT_TRUE(engine.Execute(AnchoredRead("job_2")).ok());
+  ASSERT_TRUE(AppendJob(&engine).ok());
+  EXPECT_EQ(engine.catalog().plan_epoch(), refreshed);
+  ASSERT_TRUE(engine.Execute(AnchoredRead("job_4")).ok());
+  EXPECT_EQ(engine.plan_cache_misses(), 2u);
+  EXPECT_EQ(engine.plan_cache_hits(), 7u);
+  EXPECT_EQ(engine.stale_plan_fallbacks(), 0u);
+
+  // A batch that grows the base past the threshold (10% of its live
+  // vertices, floor 32) refreshes the base statistics and replans.
+  graph::GraphDelta growth;
+  for (int i = 0; i < 40; ++i) growth.AddVertex("Job");
+  ASSERT_TRUE(engine.ApplyDelta(growth).ok());
+  EXPECT_GT(engine.catalog().plan_epoch(), refreshed);
+  EXPECT_EQ(engine.catalog().base_stats().num_vertices(),
+            engine.base_graph().NumLiveVertices());
+  ASSERT_TRUE(engine.Execute(AnchoredRead("job_5")).ok());
+  EXPECT_EQ(engine.plan_cache_misses(), 3u);
+}
+
+TEST(PlanCacheTest, PlannerVisibleChangesInvalidate) {
+  // Publish (via AnalyzeWorkload), drop, and a fault-injected
+  // quarantine each move the plan epoch; the next read replans and its
+  // answer matches a fresh engine's.
+  std::atomic<bool> fail_maintenance{false};
+  EngineOptions options;
+  options.fault_hooks.hook = [&](FaultSite site, const std::string&) {
+    return site == FaultSite::kMaintainerApply && fail_maintenance.load()
+               ? Status::Internal("injected maintenance fault")
+               : Status::OK();
+  };
+  Engine engine(SmallProv(), options);
+  const std::string text = datasets::AncestorsQueryText("Job", 4);
+  size_t misses = 0;
+  auto expect_replanned = [&](bool used_view) {
+    auto r = engine.Execute(text);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->used_view, used_view);
+    EXPECT_EQ(engine.plan_cache_misses(), ++misses);
+    EXPECT_EQ(SortedRows(r->table), FreshRows(engine, text));
+  };
+  expect_replanned(/*used_view=*/false);
+
+  ASSERT_TRUE(engine.AnalyzeWorkload({text}).ok());  // background Publish
+  ASSERT_GT(engine.catalog().num_ready(), 0u);
+  expect_replanned(/*used_view=*/true);
+
+  fail_maintenance.store(true);
+  ASSERT_TRUE(engine.ApplyDelta(MakeDeltaSequence(engine.base_graph(), 2)[1])
+                  .ok());
+  fail_maintenance.store(false);
+  EXPECT_EQ(engine.catalog().num_ready(), 0u);
+  EXPECT_GT(engine.catalog().num_quarantined(), 0u);
+  expect_replanned(/*used_view=*/false);
+
+  for (const CatalogEntry* entry : engine.catalog().Entries()) {
+    ASSERT_TRUE(engine.RemoveView(entry->name()).ok());
+  }
+  ASSERT_TRUE(engine.AddMaterializedView(JobConnector()).ok());
+  expect_replanned(/*used_view=*/true);
+  ASSERT_TRUE(engine.RemoveView(JobConnector().Name()).ok());
+  expect_replanned(/*used_view=*/false);
+  EXPECT_EQ(engine.stale_plan_fallbacks(), 0u);
 }
 
 }  // namespace
