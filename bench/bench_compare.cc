@@ -49,8 +49,14 @@ struct Gate {
 // spread widest of all (two Release runs on a 4-vCPU VM gave khop2
 // speedups of 171-251x where the committed file has 83-505x), so their
 // gate only catches a collapse toward re-materialization cost.
+//
+// Q1's SELECT overhead (full query / its MATCH alone) divides two timings
+// taken in one process, so host speed cancels; the tolerance keeps runs
+// of today's evaluator (1.24-1.34x on a 4-vCPU VM) inside and the
+// string-keyed evaluator it replaced (2.0-2.35x) outside.
 constexpr Gate kGates[] = {
     {"query_latency", "*", "*_csr_speedup", Better::kHigher, 0.6},
+    {"query_latency", "select", "q1_select_overhead", Better::kLower, 0.4},
     {"query_latency", "fusion", "expansion_ratio", Better::kHigher, 0.1},
     {"query_latency", "*", "*_scaling", Better::kHigher, 0.6,
      /*needs_threads=*/true},

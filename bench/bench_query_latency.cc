@@ -14,6 +14,12 @@
 // `hardware_threads` metric records what this run had so the perf
 // trajectory stays interpretable (a 1-core container shows ~1x).
 //
+// A `select` section times the paper's Table IV Q1 (the job blast
+// radius) and its innermost MATCH alone over the CSR snapshot of a tenth
+// of the default provenance graph, and records full / match as
+// `q1_select_overhead`: the cost of the nested SELECT / GROUP BY layers
+// relative to the traversal they aggregate.
+//
 // A final `fusion` section pushes a 100-query same-shape batch through
 // `Engine::ExecuteBatch` with cross-query fusion on vs off and records
 // the shared-traversal expansion ratio (enforced >= 10x).
@@ -27,8 +33,10 @@
 
 #include "bench/bench_util.h"
 #include "core/engine.h"
+#include "datasets/workloads.h"
 #include "graph/csr.h"
 #include "query/executor.h"
+#include "query/parser.h"
 
 namespace {
 
@@ -38,6 +46,7 @@ using kaskade::bench::TimeSeconds;
 using kaskade::graph::CsrGraph;
 using kaskade::graph::PropertyGraph;
 using kaskade::query::ExecutorOptions;
+using kaskade::query::Query;
 using kaskade::query::QueryExecutor;
 using kaskade::query::Table;
 
@@ -46,25 +55,34 @@ struct BenchQuery {
   const char* text;
 };
 
-/// Best-of-N wall clock for one executor configuration.
-double BestOf(int reps, QueryExecutor* executor, const std::string& text,
+/// Best-of-N wall clock of one query on one executor configuration.
+double BestOf(int reps, QueryExecutor* executor, const Query& query,
               size_t* rows_out) {
   double best = 1e100;
   for (int r = 0; r < reps; ++r) {
-    size_t rows = 0;
     double secs = TimeSeconds([&] {
-      auto result = executor->ExecuteText(text);
+      auto result = executor->Execute(query);
       if (!result.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
                      result.status().ToString().c_str());
         std::exit(1);
       }
-      rows = result->num_rows();
+      *rows_out = result->num_rows();
     });
-    *rows_out = rows;
     if (secs < best) best = secs;
   }
   return best;
+}
+
+/// Parses `text`, exiting on a parse error.
+Query MustParse(const std::string& text) {
+  auto query = kaskade::query::ParseQueryText(text);
+  if (!query.ok()) {
+    std::fprintf(stderr, "query does not parse: %s\n",
+                 query.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(*query);
 }
 
 void RunDataset(const std::string& section, const PropertyGraph& g,
@@ -80,6 +98,7 @@ void RunDataset(const std::string& section, const PropertyGraph& g,
 
   const int reps = 3;
   for (const BenchQuery& q : queries) {
+    const Query query = MustParse(q.text);
     QueryExecutor legacy(&g);
     ExecutorOptions seq_opts;
     QueryExecutor csr_seq(&g, &csr, seq_opts);
@@ -91,10 +110,10 @@ void RunDataset(const std::string& section, const PropertyGraph& g,
     QueryExecutor csr_par4(&g, &csr, par4_opts);
 
     size_t legacy_rows = 0, csr_rows = 0, par2_rows = 0, par4_rows = 0;
-    double legacy_s = BestOf(reps, &legacy, q.text, &legacy_rows);
-    double csr_s = BestOf(reps, &csr_seq, q.text, &csr_rows);
-    double par2_s = BestOf(reps, &csr_par2, q.text, &par2_rows);
-    double par4_s = BestOf(reps, &csr_par4, q.text, &par4_rows);
+    double legacy_s = BestOf(reps, &legacy, query, &legacy_rows);
+    double csr_s = BestOf(reps, &csr_seq, query, &csr_rows);
+    double par2_s = BestOf(reps, &csr_par2, query, &par2_rows);
+    double par4_s = BestOf(reps, &csr_par4, query, &par4_rows);
     if (csr_rows != legacy_rows || par2_rows != legacy_rows ||
         par4_rows != legacy_rows) {
       std::fprintf(stderr,
@@ -118,6 +137,37 @@ void RunDataset(const std::string& section, const PropertyGraph& g,
                 q.label, legacy_s, csr_s, legacy_s / csr_s, csr_s / par2_s,
                 csr_s / par4_s, legacy_rows);
   }
+}
+
+/// Table IV Q1 against its own innermost MATCH, both over one CSR
+/// snapshot of the 0.1x provenance graph.
+void RunSelectSection() {
+  PrintHeader("select");
+  kaskade::datasets::ProvOptions options;
+  options.num_jobs /= 10;
+  options.num_files /= 10;
+  options.num_tasks /= 10;
+  const PropertyGraph g = kaskade::datasets::MakeProvenanceGraph(options);
+  const CsrGraph csr = CsrGraph::Build(g);
+  QueryExecutor executor(&g, &csr);
+
+  const Query q1 = MustParse(kaskade::datasets::BlastRadiusQueryText());
+  Query match;
+  match.node = *q1.InnermostMatch();
+
+  const int reps = 7;
+  size_t match_rows = 0, q1_rows = 0;
+  const double match_s = BestOf(reps, &executor, match, &match_rows);
+  const double full_s = BestOf(reps, &executor, q1, &q1_rows);
+  JsonReport::Record("select", "q1_match_rows", double(match_rows));
+  JsonReport::Record("select", "q1_rows", double(q1_rows));
+  JsonReport::Record("select", "q1_match_seconds", match_s);
+  JsonReport::Record("select", "q1_full_seconds", full_s);
+  JsonReport::Record("select", "q1_select_overhead", full_s / match_s);
+  std::printf("Q1 over %zu vertices: MATCH %.4fs (%zu rows), full %.4fs "
+              "(%zu rows), full / match %.2fx\n",
+              g.NumVertices(), match_s, match_rows, full_s, q1_rows,
+              full_s / match_s);
 }
 
 /// Cross-query fusion: a 100-query batch of one plan shape (constants
@@ -288,6 +338,7 @@ int main(int argc, char** argv) {
            "MATCH (a:Intersection)-[r*1..6]->(b:Intersection) RETURN a, b"},
       });
 
+  RunSelectSection();
   RunFusionSection();
 
   return JsonReport::Finish();

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "query/match_common.h"
@@ -735,62 +737,85 @@ class CsrMatchEvaluator {
 };
 
 // ---------------------------------------------------------------------------
-// SELECT evaluation
+// SELECT evaluation. Each layer is compiled once against its input's
+// schema: every column reference becomes a column index, plus the
+// property key when it reads a vertex property. The row loop then does
+// no name lookup, builds no strings and copies no value it only reads.
 // ---------------------------------------------------------------------------
 
-/// Evaluates a column reference against an input row; vertex property
-/// references go through the graph.
-Result<PropertyValue> EvalRef(const PropertyGraph& graph, const Table& input,
-                              const Table::Row& row, const ColumnRef& ref) {
-  if (ref.property.empty()) {
-    int col = input.FindColumn(ref.base);
-    if (col < 0) return Status::NotFound("unknown column '" + ref.base + "'");
-    return row[col];
+/// What a reference to an absent vertex property reads.
+const PropertyValue kNullValue;
+
+/// A `ColumnRef` resolved against an input schema: the cell at `column`,
+/// or, when `property` is set, that property of the vertex in the cell.
+struct CompiledRef {
+  size_t column = 0;
+  const std::string* property = nullptr;  ///< Points into the AST.
+};
+
+/// Resolves `ref` against `input`'s columns. A literal `base.property`
+/// column (a group key an inner layer propagated, e.g. `A.pipelineName`)
+/// wins over reading the property through the vertex column `base`.
+Result<CompiledRef> CompileRef(const Table& input, const ColumnRef& ref) {
+  if (!ref.property.empty()) {
+    const int direct = input.FindColumn(ref.ToString());
+    if (direct >= 0) return CompiledRef{static_cast<size_t>(direct), nullptr};
   }
-  // Try a literal "base.property" column first (propagated group key).
-  int direct = input.FindColumn(ref.ToString());
-  if (direct >= 0) return row[direct];
-  int col = input.FindColumn(ref.base);
+  const int col = input.FindColumn(ref.base);
   if (col < 0) return Status::NotFound("unknown column '" + ref.base + "'");
+  if (ref.property.empty()) {
+    return CompiledRef{static_cast<size_t>(col), nullptr};
+  }
   if (!input.columns()[col].is_vertex) {
     return Status::InvalidArgument("column '" + ref.base +
                                    "' is not a vertex; cannot read property '" +
                                    ref.property + "'");
   }
-  VertexId v = static_cast<VertexId>(row[col].as_int());
-  return graph.VertexProperty(v, ref.property);
+  return CompiledRef{static_cast<size_t>(col), &ref.property};
 }
 
-bool ConditionPasses(const Condition& cond, const PropertyValue& value) {
-  return EvaluateCompare(cond.op, value, cond.rhs);
+/// The value `ref` names in `row`, read in place. A property of a NULL
+/// vertex cell (a plain item of an aggregate over no rows) is NULL.
+const PropertyValue& ReadRef(const PropertyGraph& graph, const Table::Row& row,
+                             const CompiledRef& ref) {
+  const PropertyValue& cell = row[ref.column];
+  if (ref.property == nullptr) return cell;
+  if (cell.is_null()) return kNullValue;
+  const PropertyValue* value =
+      graph.VertexProperties(static_cast<VertexId>(cell.as_int()))
+          .Find(*ref.property);
+  return value != nullptr ? *value : kNullValue;
 }
 
-/// Streaming aggregate accumulator.
+/// Streaming state of one aggregate over one group. NULLs are skipped
+/// (SQL semantics); SUM stays an int while every input is an int and
+/// the int sum does not overflow; AVG is the double sum over the count;
+/// MIN/MAX keep the first extreme under `PropertyValue`'s total order.
 struct Accumulator {
-  AggFunc func = AggFunc::kNone;
   int64_t count = 0;
+  int64_t isum = 0;
   double sum = 0;
   bool all_int = true;
-  int64_t isum = 0;
-  std::optional<PropertyValue> extreme;
+  PropertyValue extreme;  ///< MIN/MAX only; set once `count > 0`.
 
-  void Add(const PropertyValue& v) {
-    if (v.is_null()) return;  // SQL semantics: NULLs are skipped
+  void Add(AggFunc func, const PropertyValue& v) {
+    if (v.is_null()) return;
     ++count;
-    if (v.is_int()) {
-      isum += v.as_int();
-    } else {
+    if (!v.is_int() || __builtin_add_overflow(isum, v.as_int(), &isum)) {
       all_int = false;
     }
     sum += v.ToDouble();
     if (func == AggFunc::kMin) {
-      if (!extreme.has_value() || v < *extreme) extreme = v;
+      if (count == 1 || v < extreme) extreme = v;
     } else if (func == AggFunc::kMax) {
-      if (!extreme.has_value() || *extreme < v) extreme = v;
+      if (count == 1 || extreme < v) extreme = v;
     }
   }
 
-  PropertyValue Finish() const {
+  /// COUNT(*): counts the row, NULL or not.
+  void AddRow() { ++count; }
+
+  PropertyValue Finish(AggFunc func) const {
     switch (func) {
       case AggFunc::kCount:
         return PropertyValue(count);
@@ -802,13 +827,228 @@ struct Accumulator {
         return PropertyValue(sum / static_cast<double>(count));
       case AggFunc::kMin:
       case AggFunc::kMax:
-        return extreme.has_value() ? *extreme : PropertyValue();
+        return count > 0 ? extreme : PropertyValue();
       case AggFunc::kNone:
         break;
     }
     return PropertyValue();
   }
 };
+
+/// splitmix64's finalizer: every input bit reaches every output bit, so
+/// the low bits a table index keeps are as spread as the high ones.
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
+/// Hash consistent with `GroupValueEquals`: numbers hash by their value
+/// as a double, so int 7 and double 7.0 meet; -0.0 hashes as 0.0 and
+/// every NaN alike. The other types carry a tag so that, say, the
+/// string "7" and the int 7 rarely share a hash.
+uint64_t HashValue(const PropertyValue& v) {
+  if (v.is_numeric()) {
+    double d = v.ToDouble();
+    if (d == 0) d = 0;  // folds -0.0
+    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    return Mix64(bits);
+  }
+  if (v.is_string()) {
+    return Mix64(std::hash<std::string>{}(v.as_string()) ^
+                 0x9e3779b97f4a7c15ULL);
+  }
+  if (v.is_bool()) return Mix64(v.as_bool() ? 0x2545f4914f6cdd1dULL : 1);
+  return Mix64(0x632be59bd9b4e019ULL);  // null
+}
+
+/// Group-key equality: `PropertyValue::operator==`, under which int 7
+/// and double 7.0 are one value, except that NaN groups with NaN.
+bool GroupValueEquals(const PropertyValue& a, const PropertyValue& b) {
+  return a == b || (a.is_double() && b.is_double() &&
+                    std::isnan(a.as_double()) && std::isnan(b.as_double()));
+}
+
+/// Open-addressed hash table from group keys (tuples of `width` values)
+/// to dense group ids in first-seen order. Per group it stores the key,
+/// the group's first row and `num_aggs` accumulators, each in one flat
+/// array indexed by group id.
+class GroupTable {
+ public:
+  GroupTable(size_t width, size_t num_aggs)
+      : width_(width), num_aggs_(num_aggs) {}
+
+  size_t size() const { return first_rows_.size(); }
+  const Table::Row* first_row(size_t group) const { return first_rows_[group]; }
+  Accumulator* accumulators(size_t group) {
+    return accumulators_.data() + group * num_aggs_;
+  }
+
+  /// Id of the group whose key equals `key` (`width` values); a new key
+  /// adds a group whose first row is `row`.
+  size_t FindOrAdd(const PropertyValue* const* key, const Table::Row* row) {
+    uint64_t hash = 0;
+    for (size_t k = 0; k < width_; ++k) {
+      hash = Mix64(hash ^ HashValue(*key[k]));
+    }
+    if (2 * (size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const uint32_t slot = slots_[i];
+      if (slot == 0) {
+        slots_[i] = static_cast<uint32_t>(size() + 1);
+        hashes_.push_back(hash);
+        for (size_t k = 0; k < width_; ++k) keys_.push_back(*key[k]);
+        first_rows_.push_back(row);
+        accumulators_.resize(accumulators_.size() + num_aggs_);
+        return size() - 1;
+      }
+      const size_t group = slot - 1;
+      if (hashes_[group] == hash && KeyEquals(group, key)) return group;
+    }
+  }
+
+ private:
+  bool KeyEquals(size_t group, const PropertyValue* const* key) const {
+    const PropertyValue* stored = keys_.data() + group * width_;
+    for (size_t k = 0; k < width_; ++k) {
+      if (!GroupValueEquals(stored[k], *key[k])) return false;
+    }
+    return true;
+  }
+
+  /// Doubles the slot array (16 at first) and re-places every group by
+  /// its stored hash; the load factor stays at most 1/2.
+  void Grow() {
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), 0);
+    const size_t mask = slots_.size() - 1;
+    for (size_t group = 0; group < size(); ++group) {
+      size_t i = hashes_[group] & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = static_cast<uint32_t>(group + 1);
+    }
+  }
+
+  size_t width_;
+  size_t num_aggs_;
+  std::vector<uint32_t> slots_;  ///< Group id + 1; 0 marks an empty slot.
+  std::vector<uint64_t> hashes_;
+  std::vector<PropertyValue> keys_;  ///< `width_` values per group.
+  std::vector<const Table::Row*> first_rows_;
+  std::vector<Accumulator> accumulators_;  ///< `num_aggs_` per group.
+};
+
+/// One SELECT item compiled against the layer's input.
+struct CompiledItem {
+  AggFunc agg = AggFunc::kNone;
+  bool star = false;
+  CompiledRef ref;  ///< Unset for COUNT(*).
+  size_t acc = 0;   ///< Accumulator slot of an aggregate.
+};
+
+/// Runs one SELECT layer over its evaluated input. Every reference is
+/// resolved before any row is read, so an unknown column fails whatever
+/// the data.
+Result<Table> EvaluateSelect(const PropertyGraph& graph,
+                             const SelectQuery& select, const Table& input) {
+  std::vector<std::pair<CompiledRef, const Condition*>> where;
+  for (const Condition& cond : select.where) {
+    KASKADE_ASSIGN_OR_RETURN(CompiledRef lhs, CompileRef(input, cond.lhs));
+    where.emplace_back(lhs, &cond);
+  }
+  std::vector<CompiledRef> group_by;
+  for (const ColumnRef& ref : select.group_by) {
+    KASKADE_ASSIGN_OR_RETURN(CompiledRef compiled, CompileRef(input, ref));
+    group_by.push_back(compiled);
+  }
+  std::vector<CompiledItem> items;
+  std::vector<const CompiledItem*> aggs;
+  std::vector<Column> out_columns;
+  items.reserve(select.items.size());
+  for (const SelectItem& item : select.items) {
+    CompiledItem& compiled =
+        items.emplace_back(CompiledItem{item.agg, item.star, {}, aggs.size()});
+    if (!item.star) {
+      KASKADE_ASSIGN_OR_RETURN(compiled.ref, CompileRef(input, item.ref));
+    }
+    if (item.agg != AggFunc::kNone) aggs.push_back(&compiled);
+    // A bare vertex-column reference stays a vertex column.
+    const bool is_vertex = item.agg == AggFunc::kNone &&
+                           item.ref.property.empty() &&
+                           input.columns()[compiled.ref.column].is_vertex;
+    out_columns.push_back(Column{item.OutputName(), is_vertex});
+  }
+  Table out(std::move(out_columns));
+
+  auto passes = [&](const Table::Row& row) {
+    for (const auto& [lhs, cond] : where) {
+      if (!EvaluateCompare(cond->op, ReadRef(graph, row, lhs), cond->rhs)) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  if (aggs.empty() && group_by.empty()) {
+    // Plain projection.
+    for (const Table::Row& row : input.rows()) {
+      if (!passes(row)) continue;
+      Table::Row out_row;
+      out_row.reserve(items.size());
+      for (const CompiledItem& item : items) {
+        out_row.push_back(ReadRef(graph, row, item.ref));
+      }
+      out.AddRow(std::move(out_row));
+    }
+    return out;
+  }
+
+  // Grouped aggregation; aggregates without GROUP BY form one group.
+  GroupTable groups(group_by.size(), aggs.size());
+  std::vector<const PropertyValue*> key(group_by.size());
+  for (const Table::Row& row : input.rows()) {
+    if (!passes(row)) continue;
+    for (size_t k = 0; k < group_by.size(); ++k) {
+      key[k] = &ReadRef(graph, row, group_by[k]);
+    }
+    Accumulator* accs = groups.accumulators(groups.FindOrAdd(key.data(), &row));
+    for (const CompiledItem* agg : aggs) {
+      if (agg->star) {
+        accs[agg->acc].AddRow();
+      } else {
+        accs[agg->acc].Add(agg->agg, ReadRef(graph, row, agg->ref));
+      }
+    }
+  }
+  // Without GROUP BY the one group exists even over no rows: COUNT reads
+  // 0, the other aggregates and any plain item NULL.
+  if (group_by.empty() && groups.size() == 0) {
+    groups.FindOrAdd(nullptr, nullptr);
+  }
+
+  for (size_t group = 0; group < groups.size(); ++group) {
+    const Table::Row* first = groups.first_row(group);
+    const Accumulator* accs = groups.accumulators(group);
+    Table::Row out_row;
+    out_row.reserve(items.size());
+    for (const CompiledItem& item : items) {
+      if (item.agg != AggFunc::kNone) {
+        out_row.push_back(accs[item.acc].Finish(item.agg));
+      } else if (first != nullptr) {
+        out_row.push_back(ReadRef(graph, *first, item.ref));
+      } else {
+        out_row.emplace_back();
+      }
+    }
+    out.AddRow(std::move(out_row));
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -838,112 +1078,7 @@ Result<Table> QueryExecutor::ExecuteSelect(const SelectQuery& select,
       Table input, select.from->is_match()
                        ? ExecuteMatch(select.from->match(), stats)
                        : ExecuteSelect(select.from->select(), stats));
-
-  // WHERE filter.
-  std::vector<const Table::Row*> rows;
-  rows.reserve(input.num_rows());
-  for (const Table::Row& row : input.rows()) {
-    bool pass = true;
-    for (const Condition& cond : select.where) {
-      KASKADE_ASSIGN_OR_RETURN(PropertyValue v,
-                               EvalRef(*graph_, input, row, cond.lhs));
-      if (!ConditionPasses(cond, v)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) rows.push_back(&row);
-  }
-
-  bool has_aggregates = false;
-  for (const SelectItem& item : select.items) {
-    if (item.agg != AggFunc::kNone) has_aggregates = true;
-  }
-
-  // Output schema. A bare vertex-column reference stays a vertex column.
-  std::vector<Column> out_columns;
-  for (const SelectItem& item : select.items) {
-    bool is_vertex = false;
-    if (item.agg == AggFunc::kNone && item.ref.property.empty()) {
-      int col = input.FindColumn(item.ref.base);
-      is_vertex = col >= 0 && input.columns()[col].is_vertex;
-    }
-    out_columns.push_back(Column{item.OutputName(), is_vertex});
-  }
-  Table out(std::move(out_columns));
-
-  if (!has_aggregates && select.group_by.empty()) {
-    // Plain projection.
-    for (const Table::Row* row : rows) {
-      Table::Row out_row;
-      out_row.reserve(select.items.size());
-      for (const SelectItem& item : select.items) {
-        KASKADE_ASSIGN_OR_RETURN(PropertyValue v,
-                                 EvalRef(*graph_, input, *row, item.ref));
-        out_row.push_back(std::move(v));
-      }
-      out.AddRow(std::move(out_row));
-    }
-    return out;
-  }
-
-  // Grouped aggregation (no GROUP BY + aggregates = one global group).
-  struct Group {
-    const Table::Row* representative;
-    std::vector<Accumulator> accumulators;
-  };
-  std::unordered_map<std::string, Group> groups;
-  std::vector<std::string> group_order;
-
-  for (const Table::Row* row : rows) {
-    std::string key;
-    for (const ColumnRef& ref : select.group_by) {
-      KASKADE_ASSIGN_OR_RETURN(PropertyValue v,
-                               EvalRef(*graph_, input, *row, ref));
-      key += v.ToString();
-      key += "\x1f";
-    }
-    auto [it, inserted] = groups.try_emplace(key);
-    Group& group = it->second;
-    if (inserted) {
-      group.representative = row;
-      group.accumulators.resize(select.items.size());
-      for (size_t i = 0; i < select.items.size(); ++i) {
-        group.accumulators[i].func = select.items[i].agg;
-      }
-      group_order.push_back(key);
-    }
-    for (size_t i = 0; i < select.items.size(); ++i) {
-      const SelectItem& item = select.items[i];
-      if (item.agg == AggFunc::kNone) continue;
-      if (item.star) {
-        group.accumulators[i].Add(PropertyValue(static_cast<int64_t>(1)));
-        continue;
-      }
-      KASKADE_ASSIGN_OR_RETURN(PropertyValue v,
-                               EvalRef(*graph_, input, *row, item.ref));
-      group.accumulators[i].Add(v);
-    }
-  }
-
-  for (const std::string& key : group_order) {
-    const Group& group = groups.at(key);
-    Table::Row out_row;
-    out_row.reserve(select.items.size());
-    for (size_t i = 0; i < select.items.size(); ++i) {
-      const SelectItem& item = select.items[i];
-      if (item.agg != AggFunc::kNone) {
-        out_row.push_back(group.accumulators[i].Finish());
-      } else {
-        KASKADE_ASSIGN_OR_RETURN(
-            PropertyValue v,
-            EvalRef(*graph_, input, *group.representative, item.ref));
-        out_row.push_back(std::move(v));
-      }
-    }
-    out.AddRow(std::move(out_row));
-  }
-  return out;
+  return EvaluateSelect(*graph_, select, input);
 }
 
 Result<Table> QueryExecutor::Execute(const Query& query,

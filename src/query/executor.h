@@ -7,6 +7,15 @@
 /// the relational shell evaluates filters, grouping and aggregates over
 /// the match rows.
 ///
+/// Each SELECT layer is compiled once against its input's schema before
+/// its row loop: column references resolve to column indexes (and a
+/// vertex-property key), so an unknown column fails whatever the data.
+/// GROUP BY keys are typed values in an open-addressed hash table,
+/// equal under `PropertyValue::operator==` (int 7 and double 7.0 are one
+/// group; NaN groups with NaN), emitted in first-seen order. An
+/// aggregate SELECT without GROUP BY yields one row even over no input
+/// (COUNT 0, every other item NULL).
+///
 /// MATCH projection has *set semantics*: the executor returns distinct
 /// rows of the returned variables. This is the semantics under which the
 /// paper's raw-vs-connector rewrites return identical results (§VII-C
@@ -136,6 +145,8 @@ class QueryExecutor {
  private:
   /// `stats` accumulates expansions + deadline checks (never null).
   Result<Table> ExecuteMatch(const MatchQuery& match, ExecutionTiming* stats);
+  /// Evaluates `select.from`, then compiles `select` against that
+  /// table's columns and runs it in one pass over the rows.
   Result<Table> ExecuteSelect(const SelectQuery& select,
                               ExecutionTiming* stats);
 

@@ -8,7 +8,9 @@
 #     doctored down to 1x (incremental no faster than re-materializing);
 #  4. a query-latency copy with a collapsed parallel-scaling ratio passes
 #     while the runs record one hardware thread (scaling gates skipped)
-#     and fails once both record four.
+#     and fails once both record four;
+#  5. so must a query-latency copy whose Q1 SELECT overhead is doctored up
+#     to 2.35x (the string-keyed SELECT evaluator's full / MATCH ratio).
 # Inputs: COMPARE (the binary), SOURCE_DIR (holding the committed JSONs),
 # WORK_DIR.
 
@@ -65,3 +67,8 @@ doctor(${WORK_DIR}/query_latency.4t.json
 expect_exit(${WORK_DIR}/query_latency.4t.json
             ${WORK_DIR}/query_latency.4t.doctored.json 1
             "collapsed scaling on four hardware threads")
+
+doctor(${latency} select q1_select_overhead 2.35
+       query_latency.select.doctored.json)
+expect_exit(${latency} ${WORK_DIR}/query_latency.select.doctored.json 1
+            "doctored Q1 select overhead")

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "datasets/workloads.h"
@@ -318,6 +320,93 @@ TEST_F(ExecutorTest, GlobalAggregateWithoutGroupBy) {
       "RETURN j, f)");
   ASSERT_EQ(t.num_rows(), 1u);
   EXPECT_EQ(t.rows()[0][0], PropertyValue(3));
+
+  // Over no input rows an aggregate without GROUP BY still yields its one
+  // row: COUNT 0, NULL for the other aggregates and for plain items.
+  const std::string empty =
+      "(MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 1000 RETURN j)";
+  Table none = Run("SELECT COUNT(*), SUM(j.CPU), AVG(j.CPU), MIN(j.CPU), "
+                   "MAX(j.CPU), j FROM " + empty);
+  ASSERT_EQ(none.num_rows(), 1u);
+  EXPECT_EQ(none.rows()[0][0], PropertyValue(0));
+  EXPECT_TRUE(none.rows()[0][0].is_int());
+  for (size_t c = 1; c < none.num_columns(); ++c) {
+    EXPECT_TRUE(none.rows()[0][c].is_null()) << none.columns()[c].name;
+  }
+  // A WHERE at the SELECT layer that drops every row is the same case.
+  Table filtered = Run(
+      "SELECT COUNT(*) FROM (MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j) "
+      "WHERE j.CPU > 1000");
+  ASSERT_EQ(filtered.num_rows(), 1u);
+  EXPECT_EQ(filtered.rows()[0][0], PropertyValue(0));
+  // With GROUP BY, no input means no groups.
+  EXPECT_EQ(Run("SELECT j, COUNT(*) FROM " + empty + " GROUP BY j").num_rows(),
+            0u);
+}
+
+TEST_F(ExecutorTest, GroupByComparesTypedValues) {
+  // Six distinct values that a rendered-string key merged into three:
+  // doubles that print alike, int 7 vs string "7", null vs "null".
+  const std::vector<PropertyValue> values = {
+      PropertyValue(1.0000001), PropertyValue(1.0000002), PropertyValue(7),
+      PropertyValue("7"), PropertyValue("null")};
+  for (const PropertyValue& v : values) {
+    graph::PropertyMap props;
+    props.Set("x", v);
+    g_.AddVertex("File", std::move(props)).value();
+  }
+  // The fixture's three files have no `x`: the null group.
+  Table t = Run(
+      "SELECT f.x, COUNT(*) AS n FROM (MATCH (f:File) RETURN f) GROUP BY f.x");
+  ASSERT_EQ(t.num_rows(), 6u);
+  for (const auto& row : t.rows()) {
+    EXPECT_EQ(row[1], PropertyValue(row[0].is_null() ? 3 : 1))
+        << row[0].ToString();
+  }
+  for (const PropertyValue& v : values) {
+    size_t same_type = 0;
+    for (const auto& row : t.rows()) {
+      if (row[0] == v && row[0].is_string() == v.is_string()) ++same_type;
+    }
+    EXPECT_EQ(same_type, 1u) << v.ToString();
+  }
+
+  // Two-column keys whose renderings joined by a separator collide.
+  for (const auto& [s, u] : {std::pair<std::string, std::string>{"a\x1f", "b"},
+                             {"a", "\x1f" "b"}}) {
+    graph::PropertyMap props;
+    props.Set("s", PropertyValue(s));
+    props.Set("u", PropertyValue(u));
+    g_.AddVertex("File", std::move(props)).value();
+  }
+  Table pairs = Run(
+      "SELECT f.s, f.u, COUNT(*) FROM (MATCH (f:File) RETURN f) "
+      "WHERE f.s <> 'zz' GROUP BY f.s, f.u");
+  EXPECT_EQ(pairs.num_rows(), 3u);  // (null, null) and the two pairs
+}
+
+TEST_F(ExecutorTest, GroupByMergesEqualNumbersAndNaNs) {
+  // int 7 == double 7.0 under PropertyValue's equality: one group, whose
+  // key is the first row's value. Every NaN falls in one group too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const PropertyValue& v :
+       {PropertyValue(7), PropertyValue(7.0), PropertyValue(nan),
+        PropertyValue(-nan), PropertyValue(0.0), PropertyValue(-0.0)}) {
+    graph::PropertyMap props;
+    props.Set("y", v);
+    g_.AddVertex("File", std::move(props)).value();
+  }
+  Table t = Run(
+      "SELECT f.y, COUNT(*) AS n FROM (MATCH (f:File) RETURN f) GROUP BY f.y");
+  // null (the fixture's files), 7, NaN, 0.
+  ASSERT_EQ(t.num_rows(), 4u);
+  for (const auto& row : t.rows()) {
+    EXPECT_EQ(row[1], PropertyValue(row[0].is_null() ? 3 : 2))
+        << row[0].ToString();
+    if (row[0] == PropertyValue(7)) {
+      EXPECT_TRUE(row[0].is_int());
+    }
+  }
 }
 
 TEST_F(ExecutorTest, AvgAndMinMax) {
@@ -357,6 +446,18 @@ TEST_F(ExecutorTest, UnknownTypesAndColumnsFail) {
   EXPECT_FALSE(
       executor.ExecuteText("MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN zzz")
           .ok());
+  // SELECT references resolve before any row is read: an unknown column
+  // fails over an empty input as it does over a full one.
+  const std::string empty =
+      "(MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 1000 RETURN j)";
+  for (const std::string& text :
+       {"SELECT zzz FROM " + empty, "SELECT COUNT(*) FROM " + empty +
+        " WHERE zzz = 1", "SELECT COUNT(*) FROM " + empty + " GROUP BY zzz",
+        "SELECT SUM(zzz.CPU) FROM " + empty,
+        "SELECT n.CPU FROM (SELECT COUNT(*) AS n FROM " + empty + ")"}) {
+    auto result = executor.ExecuteText(text);
+    EXPECT_FALSE(result.ok()) << text;
+  }
 }
 
 TEST_F(ExecutorTest, RowLimitRespected) {
