@@ -20,18 +20,28 @@
 // `q1_select_overhead`: the cost of the nested SELECT / GROUP BY layers
 // relative to the traversal they aggregate.
 //
+// A `view_read` section serves Table IV's Q2 (ancestors *1..4) from a
+// khop2[Job->Job] connector on the same graph, once through
+// `Engine::Execute` and once through a `QueryExecutor` running the
+// rewritten query on the view's own CSR snapshot, and records engine /
+// executor as `q2_engine_overhead`: what the engine adds to a
+// view-served read (plan-cache lookup, admission, workload tracking and
+// mapping view ids back to base ids).
+//
 // A final `fusion` section pushes a 100-query same-shape batch through
 // `Engine::ExecuteBatch` with cross-query fusion on vs off and records
 // the shared-traversal expansion ratio (enforced >= 10x).
 //
 // Usage: bench_query_latency [--json[=path]]
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/catalog.h"
 #include "core/engine.h"
 #include "datasets/workloads.h"
 #include "graph/csr.h"
@@ -41,6 +51,7 @@
 namespace {
 
 using kaskade::bench::JsonReport;
+using kaskade::bench::OrDie;
 using kaskade::bench::PrintHeader;
 using kaskade::bench::TimeSeconds;
 using kaskade::graph::CsrGraph;
@@ -139,15 +150,20 @@ void RunDataset(const std::string& section, const PropertyGraph& g,
   }
 }
 
-/// Table IV Q1 against its own innermost MATCH, both over one CSR
-/// snapshot of the 0.1x provenance graph.
-void RunSelectSection() {
-  PrintHeader("select");
+/// A tenth of the default provenance graph (1,250 vertices).
+PropertyGraph TenthProvGraph() {
   kaskade::datasets::ProvOptions options;
   options.num_jobs /= 10;
   options.num_files /= 10;
   options.num_tasks /= 10;
-  const PropertyGraph g = kaskade::datasets::MakeProvenanceGraph(options);
+  return kaskade::datasets::MakeProvenanceGraph(options);
+}
+
+/// Table IV Q1 against its own innermost MATCH, both over one CSR
+/// snapshot of the 0.1x provenance graph.
+void RunSelectSection() {
+  PrintHeader("select");
+  const PropertyGraph g = TenthProvGraph();
   const CsrGraph csr = CsrGraph::Build(g);
   QueryExecutor executor(&g, &csr);
 
@@ -168,6 +184,57 @@ void RunSelectSection() {
               "(%zu rows), full / match %.2fx\n",
               g.NumVertices(), match_s, match_rows, full_s, q1_rows,
               full_s / match_s);
+}
+
+/// Q2 served by a khop2[Job->Job] connector: `Engine::Execute` against
+/// the executor alone on the view's snapshot, best of alternating runs.
+void RunViewReadSection() {
+  PrintHeader("view_read");
+  kaskade::core::Engine engine(TenthProvGraph());
+  kaskade::core::ViewDefinition khop2;
+  khop2.kind = kaskade::core::ViewKind::kKHopConnector;
+  khop2.k = 2;
+  khop2.source_type = "Job";
+  khop2.target_type = "Job";
+  OrDie(engine.AddMaterializedView(khop2), "khop2 view");
+
+  const std::string q2 = kaskade::datasets::AncestorsQueryText("Job", 4);
+  const kaskade::core::ExecutionResult served =
+      OrDie(engine.Execute(q2), "Q2 through the engine");
+  if (!served.used_view) {
+    std::fprintf(stderr, "Q2 was not served by the khop2 view\n");
+    std::exit(1);
+  }
+  const kaskade::core::CatalogEntry* entry =
+      engine.catalog().Find(served.view_name);
+  const auto snapshot = engine.catalog().SnapshotFor(entry->handle);
+  QueryExecutor executor(&entry->view.graph, snapshot.get());
+  const Query rewritten = MustParse(served.executed_query);
+
+  const int reps = 40;
+  double engine_s = 1e100, executor_s = 1e100;
+  size_t engine_rows = 0, executor_rows = 0;
+  for (int r = 0; r < reps; ++r) {
+    engine_s = std::min(engine_s, TimeSeconds([&] {
+                          engine_rows =
+                              OrDie(engine.Execute(q2), "Q2").table.num_rows();
+                        }));
+    executor_s = std::min(executor_s,
+                          BestOf(1, &executor, rewritten, &executor_rows));
+  }
+  if (engine_rows != executor_rows) {
+    std::fprintf(stderr, "Q2 row divergence: engine=%zu executor=%zu\n",
+                 engine_rows, executor_rows);
+    std::exit(1);
+  }
+  JsonReport::Record("view_read", "q2_rows", double(engine_rows));
+  JsonReport::Record("view_read", "q2_engine_seconds", engine_s);
+  JsonReport::Record("view_read", "q2_executor_seconds", executor_s);
+  JsonReport::Record("view_read", "q2_engine_overhead", engine_s / executor_s);
+  std::printf("Q2 over %s (%zu rows): engine %.6fs, executor on the view "
+              "snapshot %.6fs, engine / executor %.2fx\n",
+              served.view_name.c_str(), engine_rows, engine_s, executor_s,
+              engine_s / executor_s);
 }
 
 /// Cross-query fusion: a 100-query batch of one plan shape (constants
@@ -339,6 +406,7 @@ int main(int argc, char** argv) {
       });
 
   RunSelectSection();
+  RunViewReadSection();
   RunFusionSection();
 
   return JsonReport::Finish();

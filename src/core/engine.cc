@@ -35,28 +35,17 @@ AdvisorOptions MakeAdvisorOptions(const EngineOptions& options) {
 // Rewritten plans execute against the view's own graph, whose vertex
 // ids are view-local (allocated first-touch during materialization).
 // The engine's contract is that a rewritten plan is equivalent to the
-// raw plan on the base graph, so every vertex-reference cell must be
-// mapped back through the view's lineage before the table is returned.
-// Mapping happens strictly after execution: property reads inside the
-// executor need the view-local ids.
-query::Table MapViewTableToBase(const MaterializedView& view,
-                                query::Table table) {
-  bool any_vertex = false;
-  for (const query::Column& c : table.columns()) any_vertex |= c.is_vertex;
-  if (!any_vertex) return table;
-  query::Table mapped{std::vector<query::Column>(table.columns())};
-  for (const query::Table::Row& row : table.rows()) {
-    query::Table::Row out = row;
-    for (size_t c = 0; c < table.columns().size(); ++c) {
-      if (!table.columns()[c].is_vertex || !out[c].is_int()) continue;
-      const auto v = static_cast<size_t>(out[c].as_int());
-      if (v < view.view_to_base.size()) {
-        out[c] = static_cast<int64_t>(view.view_to_base[v]);
-      }
-    }
-    mapped.AddRow(std::move(out));
-  }
-  return mapped;
+// raw plan on the base graph, so every vertex-reference cell is mapped
+// back through the view's lineage, in place, before the table is
+// returned. Mapping happens strictly after execution: property reads
+// inside the executor need the view-local ids.
+void MapViewTableToBase(const MaterializedView& view, query::Table* table) {
+  const std::vector<graph::VertexId>& to_base = view.view_to_base;
+  table->MapVertexIds([&](int64_t v) {
+    return v >= 0 && static_cast<size_t>(v) < to_base.size()
+               ? static_cast<int64_t>(to_base[v])
+               : v;
+  });
 }
 
 }  // namespace
@@ -1100,7 +1089,7 @@ Result<ExecutionResult> Engine::RunPlan(
   deadline_checks_.fetch_add(timing.deadline_checks,
                              std::memory_order_relaxed);
   if (!table.ok()) return table.status();
-  if (entry != nullptr) *table = MapViewTableToBase(entry->view, std::move(*table));
+  if (entry != nullptr) MapViewTableToBase(entry->view, &*table);
   ExecutionResult result;
   result.table = std::move(*table);
   result.used_view = !plan.view_name.empty();
@@ -1233,9 +1222,8 @@ void Engine::RunFusedGroupLocked(
       continue;
     }
     ExecutionResult result;
-    result.table = entry != nullptr
-                       ? MapViewTableToBase(entry->view, std::move(*tables[j]))
-                       : std::move(*tables[j]);
+    result.table = std::move(*tables[j]);
+    if (entry != nullptr) MapViewTableToBase(entry->view, &result.table);
     result.used_view = !plan.view_name.empty();
     result.view_name = plan.view_name;
     result.executed_query = plan.executed_query;

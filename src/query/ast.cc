@@ -1,5 +1,8 @@
 #include "query/ast.h"
 
+#include <charconv>
+#include <cmath>
+
 namespace kaskade::query {
 
 namespace {
@@ -40,6 +43,30 @@ const char* OpName(CompareOp op) {
   return "?";
 }
 
+/// `v` as the parser reads it back: strings quoted with inner quotes
+/// doubled, doubles at round-trip precision with a '.' in the mantissa
+/// (so they never read back as ints). NaN and the infinities have no
+/// literal and render as `nan` / `inf`, which do not parse.
+std::string RenderLiteral(const graph::PropertyValue& v) {
+  if (v.is_string()) {
+    std::string out = "'";
+    for (char c : v.as_string()) {
+      out += c;
+      if (c == '\'') out += '\'';
+    }
+    return out + "'";
+  }
+  if (!v.is_double() || !std::isfinite(v.as_double())) return v.ToString();
+  char buf[64];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v.as_double());
+  std::string out(buf, result.ptr);
+  if (out.find('.') == std::string::npos) {
+    const size_t exp = out.find('e');
+    out.insert(exp == std::string::npos ? out.size() : exp, ".0");
+  }
+  return out;
+}
+
 std::string RenderConditions(const std::vector<Condition>& where) {
   std::string out;
   for (size_t i = 0; i < where.size(); ++i) {
@@ -48,11 +75,7 @@ std::string RenderConditions(const std::vector<Condition>& where) {
     out += " ";
     out += OpName(where[i].op);
     out += " ";
-    if (where[i].rhs.is_string()) {
-      out += "'" + where[i].rhs.as_string() + "'";
-    } else {
-      out += where[i].rhs.ToString();
-    }
+    out += RenderLiteral(where[i].rhs);
   }
   return out;
 }

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 
 #include "query/match_common.h"
@@ -266,28 +267,22 @@ class MatchEvaluator {
 
 /// \brief One backtracking worker over a CSR snapshot: owns the binding,
 /// the traversal primitives (epoch-stamped visited arrays), the per-step
-/// candidate buffers, and its (partial) distinct-row table. Inner loops
+/// candidate buffers, and its (partial) distinct-row set. Inner loops
 /// allocate nothing after warmup.
 class CsrMatchRunner {
  public:
-  /// `direct_table`, when set (sequential mode), receives each new
-  /// distinct row as it is emitted, so no second pass over the row set
-  /// is needed. Parallel workers leave it null — their rows merge into
-  /// the final table in block order after the join.
-  ///
   /// `deadline` (time_point{} = none) and `abort` feed the runner's
   /// CancelGuard: a parallel worker shares `abort` with its siblings so
   /// the first stop reason (row limit, deadline) cancels the whole run.
   CsrMatchRunner(const PropertyGraph& graph, const CsrGraph& csr,
                  const ResolvedMatch& rm, size_t max_rows,
                  CancelGuard::Clock::time_point deadline,
-                 std::atomic<bool>* abort, Table* direct_table = nullptr)
+                 std::atomic<bool>* abort)
       : graph_(graph),
         csr_(csr),
         rm_(rm),
         max_rows_(max_rows),
         guard_(deadline, abort),
-        direct_table_(direct_table),
         traversal_(csr),
         rows_(rm.return_slots.size()) {
     binding_.assign(rm.pattern.nodes.size(), graph::kInvalidId);
@@ -316,6 +311,7 @@ class CsrMatchRunner {
   }
 
   const RowSet& rows() const { return rows_; }
+  RowSet TakeRows() { return std::move(rows_); }
   /// Candidates enumerated + filter-edge probes (see
   /// `ExecutionTiming::expansions`).
   uint64_t expansions() const { return expansions_; }
@@ -340,14 +336,6 @@ class CsrMatchRunner {
     if (!rows_.Insert(row_buf_.data())) return Status::OK();
     if (rows_.size() > max_rows_) {
       return Status::ResourceExhausted("MATCH row limit exceeded");
-    }
-    if (direct_table_ != nullptr) {
-      Table::Row out;
-      out.reserve(width);
-      for (size_t k = 0; k < width; ++k) {
-        out.emplace_back(static_cast<int64_t>(row_buf_[k]));
-      }
-      direct_table_->AddRow(std::move(out));
     }
     return Status::OK();
   }
@@ -463,7 +451,6 @@ class CsrMatchRunner {
   const ResolvedMatch& rm_;
   const size_t max_rows_;
   CancelGuard guard_;
-  Table* direct_table_;
   CsrTraversal traversal_;
   RowSet rows_;
   std::vector<VertexId> binding_;
@@ -472,8 +459,16 @@ class CsrMatchRunner {
   uint64_t expansions_ = 0;
 };
 
+/// A MATCH's distinct rows, flat and in emission order, with the columns
+/// they fill. Every CSR driver hands its result back in this form.
+struct MatchRows {
+  std::vector<Column> columns;
+  RowSet rows;
+};
+
 /// \brief CSR MATCH driver: resolves and plans once, then runs the
-/// backtracking sequentially or seed-partitioned across worker threads.
+/// backtracking sequentially, seed-partitioned across worker threads, or
+/// scattered over engine shards.
 ///
 /// Parallel determinism: the top-level seed candidates are materialized
 /// once in the same order the sequential run enumerates them, split
@@ -489,7 +484,7 @@ class CsrMatchEvaluator {
                     const ExecutorOptions& options)
       : graph_(graph), csr_(csr), options_(options) {}
 
-  Result<Table> Run(const MatchQuery& match, ExecutionTiming* stats) {
+  Result<MatchRows> Run(const MatchQuery& match, ExecutionTiming* stats) {
     KASKADE_ASSIGN_OR_RETURN(ResolvedMatch rm, ResolveMatch(graph_, match));
     std::vector<VertexId> seeds = TopSeedCandidates(rm);
 
@@ -504,14 +499,13 @@ class CsrMatchEvaluator {
     }
 
     if (workers <= 1) {
-      Table table(std::move(rm.columns));
       CsrMatchRunner runner(graph_, csr_, rm, options_.max_rows,
-                            options_.deadline, /*abort=*/nullptr, &table);
+                            options_.deadline, /*abort=*/nullptr);
       Status st = runner.RunSeedRange(seeds, 0, seeds.size());
       stats->expansions += runner.expansions();
       stats->deadline_checks += runner.deadline_checks();
       KASKADE_RETURN_IF_ERROR(st);
-      return table;
+      return MatchRows{std::move(rm.columns), runner.TakeRows()};
     }
     return RunParallel(&rm, seeds, workers, stats);
   }
@@ -533,21 +527,6 @@ class CsrMatchEvaluator {
     return all;
   }
 
-  Result<Table> BuildTable(ResolvedMatch* rm, const RowSet& rows) const {
-    Table table(std::move(rm->columns));
-    const size_t width = rm->return_slots.size();
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const VertexId* row = rows.row(r);
-      Table::Row out;
-      out.reserve(width);
-      for (size_t k = 0; k < width; ++k) {
-        out.emplace_back(static_cast<int64_t>(row[k]));
-      }
-      table.AddRow(std::move(out));
-    }
-    return table;
-  }
-
   /// Scatter-gather over engine shards: seeds are partitioned by
   /// `ShardOfVertex` (relative order preserved), one runner per shard
   /// walks its seeds recording the row span each seed produced, and the
@@ -559,7 +538,7 @@ class CsrMatchEvaluator {
   /// it first at k — exactly where the sequential run first emits it.
   /// Workers claim whole shards off an atomic counter (cross-shard
   /// parallelism); `workers == 1` runs the shards inline.
-  Result<Table> RunSharded(ResolvedMatch* rm,
+  Result<MatchRows> RunSharded(ResolvedMatch* rm,
                            const std::vector<VertexId>& seeds, size_t workers,
                            ExecutionTiming* stats) const {
     const size_t shards = options_.shards;
@@ -650,10 +629,10 @@ class CsrMatchEvaluator {
         }
       }
     }
-    return BuildTable(rm, merged);
+    return MatchRows{std::move(rm->columns), std::move(merged)};
   }
 
-  Result<Table> RunParallel(ResolvedMatch* rm,
+  Result<MatchRows> RunParallel(ResolvedMatch* rm,
                             const std::vector<VertexId>& seeds, size_t workers,
                             ExecutionTiming* stats) const {
     // Small blocks for load balance; contiguous so block order equals
@@ -728,7 +707,7 @@ class CsrMatchEvaluator {
         }
       }
     }
-    return BuildTable(rm, merged);
+    return MatchRows{std::move(rm->columns), std::move(merged)};
   }
 
   const PropertyGraph& graph_;
@@ -737,85 +716,180 @@ class CsrMatchEvaluator {
 };
 
 // ---------------------------------------------------------------------------
-// SELECT evaluation. Each layer is compiled once against its input's
-// schema: every column reference becomes a column index, plus the
-// property key when it reads a vertex property. The row loop then does
-// no name lookup, builds no strings and copies no value it only reads.
+// SELECT evaluation over column batches. Each layer is compiled once
+// against its input's schema: every column reference becomes a column
+// index, plus the property key when it reads a vertex property. The row
+// loop then does no name lookup, builds no strings and copies no value
+// it only reads. Layers pass columns to each other; only the outermost
+// layer's output becomes a `Table`.
 // ---------------------------------------------------------------------------
 
 /// What a reference to an absent vertex property reads.
 const PropertyValue kNullValue;
 
+/// \brief A SELECT layer's input or output, stored by column. A vertex
+/// column holds raw ids (`kInvalidId` is a NULL cell) in `ids`, a value
+/// column holds values in `values`; the other vector of each column
+/// stays empty. No row is a heap object.
+struct ColumnBatch {
+  explicit ColumnBatch(std::vector<Column> cols)
+      : columns(std::move(cols)),
+        ids(columns.size()),
+        values(columns.size()) {}
+
+  std::vector<Column> columns;
+  std::vector<std::vector<VertexId>> ids;
+  std::vector<std::vector<PropertyValue>> values;
+  size_t num_rows = 0;
+  /// No two rows are equal: the batch holds a MATCH's set-semantics
+  /// output.
+  bool distinct = false;
+};
+
+/// The batch of a CSR MATCH's rows: its flat rows transposed into one id
+/// array per column.
+ColumnBatch BatchFromRows(MatchRows match) {
+  ColumnBatch batch(std::move(match.columns));
+  const RowSet& rows = match.rows;
+  batch.num_rows = rows.size();
+  batch.distinct = true;
+  for (size_t c = 0; c < batch.columns.size(); ++c) {
+    std::vector<VertexId>& column = batch.ids[c];
+    column.resize(rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) column[r] = rows.row(r)[c];
+  }
+  return batch;
+}
+
+/// The batch of the legacy backtracker's MATCH output, read at the same
+/// boundary the CSR rows are. Every MATCH column is a vertex column.
+ColumnBatch BatchFromMatchTable(const Table& table) {
+  ColumnBatch batch(table.columns());
+  batch.num_rows = table.num_rows();
+  batch.distinct = true;
+  for (size_t c = 0; c < batch.columns.size(); ++c) {
+    batch.ids[c].reserve(table.num_rows());
+    for (const Table::Row& row : table.rows()) {
+      batch.ids[c].push_back(static_cast<VertexId>(row[c].as_int()));
+    }
+  }
+  return batch;
+}
+
+/// The outermost layer's output as the `Table` the executor returns.
+Table BatchToTable(ColumnBatch batch) {
+  Table table(batch.columns);
+  table.Reserve(batch.num_rows);
+  for (size_t r = 0; r < batch.num_rows; ++r) {
+    Table::Row row;
+    row.reserve(batch.columns.size());
+    for (size_t c = 0; c < batch.columns.size(); ++c) {
+      if (!batch.columns[c].is_vertex) {
+        row.push_back(std::move(batch.values[c][r]));
+      } else if (batch.ids[c][r] == graph::kInvalidId) {
+        row.emplace_back();
+      } else {
+        row.emplace_back(static_cast<int64_t>(batch.ids[c][r]));
+      }
+    }
+    table.AddRow(std::move(row));
+  }
+  return table;
+}
+
 /// A `ColumnRef` resolved against an input schema: the cell at `column`,
 /// or, when `property` is set, that property of the vertex in the cell.
 struct CompiledRef {
   size_t column = 0;
+  bool vertex = false;  ///< `column` is a vertex column.
   const std::string* property = nullptr;  ///< Points into the AST.
 };
 
-/// Resolves `ref` against `input`'s columns. A literal `base.property`
-/// column (a group key an inner layer propagated, e.g. `A.pipelineName`)
-/// wins over reading the property through the vertex column `base`.
-Result<CompiledRef> CompileRef(const Table& input, const ColumnRef& ref) {
+/// Resolves `ref` against `columns`. A literal `base.property` column (a
+/// group key an inner layer propagated, e.g. `A.pipelineName`) wins over
+/// reading the property through the vertex column `base`.
+Result<CompiledRef> CompileRef(const std::vector<Column>& columns,
+                               const ColumnRef& ref) {
   if (!ref.property.empty()) {
-    const int direct = input.FindColumn(ref.ToString());
-    if (direct >= 0) return CompiledRef{static_cast<size_t>(direct), nullptr};
+    const int direct = FindColumn(columns, ref.ToString());
+    if (direct >= 0) {
+      return CompiledRef{static_cast<size_t>(direct),
+                         columns[direct].is_vertex, nullptr};
+    }
   }
-  const int col = input.FindColumn(ref.base);
+  const int col = FindColumn(columns, ref.base);
   if (col < 0) return Status::NotFound("unknown column '" + ref.base + "'");
+  const bool vertex = columns[col].is_vertex;
   if (ref.property.empty()) {
-    return CompiledRef{static_cast<size_t>(col), nullptr};
+    return CompiledRef{static_cast<size_t>(col), vertex, nullptr};
   }
-  if (!input.columns()[col].is_vertex) {
+  if (!vertex) {
     return Status::InvalidArgument("column '" + ref.base +
                                    "' is not a vertex; cannot read property '" +
                                    ref.property + "'");
   }
-  return CompiledRef{static_cast<size_t>(col), &ref.property};
+  return CompiledRef{static_cast<size_t>(col), true, &ref.property};
 }
 
-/// The value `ref` names in `row`, read in place. A property of a NULL
-/// vertex cell (a plain item of an aggregate over no rows) is NULL.
-const PropertyValue& ReadRef(const PropertyGraph& graph, const Table::Row& row,
-                             const CompiledRef& ref) {
-  const PropertyValue& cell = row[ref.column];
-  if (ref.property == nullptr) return cell;
-  if (cell.is_null()) return kNullValue;
-  const PropertyValue* value =
-      graph.VertexProperties(static_cast<VertexId>(cell.as_int()))
-          .Find(*ref.property);
+/// The value `ref` names in row `row` of `input`, read in place. A bare
+/// vertex cell has no `PropertyValue` to point at, so it is written to
+/// `*scratch` (an int, or NULL) and read from there. A property of a
+/// NULL vertex cell (a plain item of an aggregate over no rows) is NULL.
+const PropertyValue& ReadRef(const PropertyGraph& graph,
+                             const ColumnBatch& input, const CompiledRef& ref,
+                             size_t row, PropertyValue* scratch) {
+  if (!ref.vertex) return input.values[ref.column][row];
+  const VertexId v = input.ids[ref.column][row];
+  if (ref.property == nullptr) {
+    *scratch = v == graph::kInvalidId ? PropertyValue()
+                                      : PropertyValue(static_cast<int64_t>(v));
+    return *scratch;
+  }
+  if (v == graph::kInvalidId) return kNullValue;
+  const PropertyValue* value = graph.VertexProperties(v).Find(*ref.property);
   return value != nullptr ? *value : kNullValue;
 }
 
 /// Streaming state of one aggregate over one group. NULLs are skipped
 /// (SQL semantics); SUM stays an int while every input is an int and
-/// the int sum does not overflow; AVG is the double sum over the count;
-/// MIN/MAX keep the first extreme under `PropertyValue`'s total order.
+/// the int sum does not overflow; AVG is the double sum over the count.
+/// MIN/MAX keep the first extreme under `PropertyValue`'s total order in
+/// a slot of the group table's side array, so the accumulator itself is
+/// trivially copyable and a growing group table moves it as bytes.
 struct Accumulator {
   int64_t count = 0;
   int64_t isum = 0;
   double sum = 0;
   bool all_int = true;
-  PropertyValue extreme;  ///< MIN/MAX only; set once `count > 0`.
 
-  void Add(AggFunc func, const PropertyValue& v) {
+  /// `extreme` is the aggregate's MIN/MAX slot (unused otherwise).
+  void Add(AggFunc func, const PropertyValue& v, PropertyValue* extreme) {
     if (v.is_null()) return;
     ++count;
-    if (!v.is_int() || __builtin_add_overflow(isum, v.as_int(), &isum)) {
-      all_int = false;
-    }
-    sum += v.ToDouble();
-    if (func == AggFunc::kMin) {
-      if (count == 1 || v < extreme) extreme = v;
-    } else if (func == AggFunc::kMax) {
-      if (count == 1 || extreme < v) extreme = v;
+    switch (func) {
+      case AggFunc::kMin:
+        if (count == 1 || v < *extreme) *extreme = v;
+        return;
+      case AggFunc::kMax:
+        if (count == 1 || *extreme < v) *extreme = v;
+        return;
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        if (!v.is_int() || __builtin_add_overflow(isum, v.as_int(), &isum)) {
+          all_int = false;
+        }
+        sum += v.ToDouble();
+        return;
+      case AggFunc::kCount:
+      case AggFunc::kNone:
+        return;
     }
   }
 
   /// COUNT(*): counts the row, NULL or not.
   void AddRow() { ++count; }
 
-  PropertyValue Finish(AggFunc func) const {
+  PropertyValue Finish(AggFunc func, const PropertyValue* extreme) const {
     switch (func) {
       case AggFunc::kCount:
         return PropertyValue(count);
@@ -827,13 +901,14 @@ struct Accumulator {
         return PropertyValue(sum / static_cast<double>(count));
       case AggFunc::kMin:
       case AggFunc::kMax:
-        return count > 0 ? extreme : PropertyValue();
+        return count > 0 ? *extreme : PropertyValue();
       case AggFunc::kNone:
         break;
     }
     return PropertyValue();
   }
 };
+static_assert(std::is_trivially_copyable_v<Accumulator>);
 
 /// splitmix64's finalizer: every input bit reaches every output bit, so
 /// the low bits a table index keeps are as spread as the high ones.
@@ -874,27 +949,53 @@ bool GroupValueEquals(const PropertyValue& a, const PropertyValue& b) {
                     std::isnan(a.as_double()) && std::isnan(b.as_double()));
 }
 
-/// Open-addressed hash table from group keys (tuples of `width` values)
-/// to dense group ids in first-seen order. Per group it stores the key,
-/// the group's first row and `num_aggs` accumulators, each in one flat
-/// array indexed by group id.
+/// Open-addressed hash table from group keys to dense group ids in
+/// first-seen order. A key is `id_width` raw vertex ids (the GROUP BY
+/// refs that name a vertex column, hashed and compared as integers)
+/// followed by `value_width` values. Per group it stores the key, the
+/// group's first input row, `num_aggs` accumulators and `num_extremes`
+/// MIN/MAX values, each in one flat array indexed by group id.
 class GroupTable {
  public:
-  GroupTable(size_t width, size_t num_aggs)
-      : width_(width), num_aggs_(num_aggs) {}
+  /// `first_row` of a group made without an input row.
+  static constexpr uint32_t kNoRow = ~0u;
+
+  GroupTable(size_t id_width, size_t value_width, size_t num_aggs,
+             size_t num_extremes)
+      : id_width_(id_width),
+        value_width_(value_width),
+        num_aggs_(num_aggs),
+        num_extremes_(num_extremes) {}
 
   size_t size() const { return first_rows_.size(); }
-  const Table::Row* first_row(size_t group) const { return first_rows_[group]; }
+  uint32_t first_row(size_t group) const { return first_rows_[group]; }
   Accumulator* accumulators(size_t group) {
     return accumulators_.data() + group * num_aggs_;
   }
+  PropertyValue* extremes(size_t group) {
+    return extremes_.data() + group * num_extremes_;
+  }
 
-  /// Id of the group whose key equals `key` (`width` values); a new key
-  /// adds a group whose first row is `row`.
-  size_t FindOrAdd(const PropertyValue* const* key, const Table::Row* row) {
+  /// Adds a group whose first row is `row` without a key: for a caller
+  /// that knows every row's key is new. Such a table takes no
+  /// `FindOrAdd`.
+  size_t Append(uint32_t row) {
+    first_rows_.push_back(row);
+    accumulators_.resize(accumulators_.size() + num_aggs_);
+    extremes_.resize(extremes_.size() + num_extremes_);
+    return size() - 1;
+  }
+
+  /// Id of the group whose key is (`ids`, `values`); a new key adds a
+  /// group whose first row is `row`.
+  size_t FindOrAdd(const VertexId* ids, const PropertyValue* const* values,
+                   uint32_t row) {
     uint64_t hash = 0;
-    for (size_t k = 0; k < width_; ++k) {
-      hash = Mix64(hash ^ HashValue(*key[k]));
+    for (size_t k = 0; k < id_width_; ++k) {
+      hash = Mix64(hash ^ (ids[k] + 0x9e3779b97f4a7c15ULL));
+    }
+    for (size_t k = 0; k < value_width_; ++k) {
+      hash = Mix64(hash ^ HashValue(*values[k]));
     }
     if (2 * (size() + 1) > slots_.size()) Grow();
     const size_t mask = slots_.size() - 1;
@@ -903,21 +1004,33 @@ class GroupTable {
       if (slot == 0) {
         slots_[i] = static_cast<uint32_t>(size() + 1);
         hashes_.push_back(hash);
-        for (size_t k = 0; k < width_; ++k) keys_.push_back(*key[k]);
+        id_keys_.insert(id_keys_.end(), ids, ids + id_width_);
+        for (size_t k = 0; k < value_width_; ++k) {
+          value_keys_.push_back(*values[k]);
+        }
         first_rows_.push_back(row);
         accumulators_.resize(accumulators_.size() + num_aggs_);
+        extremes_.resize(extremes_.size() + num_extremes_);
         return size() - 1;
       }
       const size_t group = slot - 1;
-      if (hashes_[group] == hash && KeyEquals(group, key)) return group;
+      if (hashes_[group] == hash && KeyEquals(group, ids, values)) {
+        return group;
+      }
     }
   }
 
  private:
-  bool KeyEquals(size_t group, const PropertyValue* const* key) const {
-    const PropertyValue* stored = keys_.data() + group * width_;
-    for (size_t k = 0; k < width_; ++k) {
-      if (!GroupValueEquals(stored[k], *key[k])) return false;
+  bool KeyEquals(size_t group, const VertexId* ids,
+                 const PropertyValue* const* values) const {
+    if (id_width_ > 0 &&
+        std::memcmp(id_keys_.data() + group * id_width_, ids,
+                    id_width_ * sizeof(VertexId)) != 0) {
+      return false;
+    }
+    const PropertyValue* stored = value_keys_.data() + group * value_width_;
+    for (size_t k = 0; k < value_width_; ++k) {
+      if (!GroupValueEquals(stored[k], *values[k])) return false;
     }
     return true;
   }
@@ -934,152 +1047,265 @@ class GroupTable {
     }
   }
 
-  size_t width_;
+  size_t id_width_;
+  size_t value_width_;
   size_t num_aggs_;
+  size_t num_extremes_;
   std::vector<uint32_t> slots_;  ///< Group id + 1; 0 marks an empty slot.
   std::vector<uint64_t> hashes_;
-  std::vector<PropertyValue> keys_;  ///< `width_` values per group.
-  std::vector<const Table::Row*> first_rows_;
+  std::vector<VertexId> id_keys_;         ///< `id_width_` per group.
+  std::vector<PropertyValue> value_keys_;  ///< `value_width_` per group.
+  std::vector<uint32_t> first_rows_;
   std::vector<Accumulator> accumulators_;  ///< `num_aggs_` per group.
+  std::vector<PropertyValue> extremes_;    ///< `num_extremes_` per group.
 };
 
 /// One SELECT item compiled against the layer's input.
 struct CompiledItem {
   AggFunc agg = AggFunc::kNone;
   bool star = false;
-  CompiledRef ref;  ///< Unset for COUNT(*).
-  size_t acc = 0;   ///< Accumulator slot of an aggregate.
+  CompiledRef ref;   ///< Unset for COUNT(*).
+  size_t acc = 0;    ///< Accumulator slot of an aggregate.
+  size_t ext = 0;    ///< Extreme slot of a MIN/MAX.
+  bool vertex_out = false;  ///< Copies a vertex column's ids as they are.
 };
 
 /// Runs one SELECT layer over its evaluated input. Every reference is
 /// resolved before any row is read, so an unknown column fails whatever
 /// the data.
-Result<Table> EvaluateSelect(const PropertyGraph& graph,
-                             const SelectQuery& select, const Table& input) {
+Result<ColumnBatch> EvaluateSelect(const PropertyGraph& graph,
+                                   const SelectQuery& select,
+                                   const ColumnBatch& input) {
   std::vector<std::pair<CompiledRef, const Condition*>> where;
   for (const Condition& cond : select.where) {
-    KASKADE_ASSIGN_OR_RETURN(CompiledRef lhs, CompileRef(input, cond.lhs));
+    KASKADE_ASSIGN_OR_RETURN(CompiledRef lhs,
+                             CompileRef(input.columns, cond.lhs));
     where.emplace_back(lhs, &cond);
   }
-  std::vector<CompiledRef> group_by;
+  // GROUP BY refs naming a vertex column key by id; the rest by value.
+  std::vector<CompiledRef> id_keys;
+  std::vector<CompiledRef> value_keys;
   for (const ColumnRef& ref : select.group_by) {
-    KASKADE_ASSIGN_OR_RETURN(CompiledRef compiled, CompileRef(input, ref));
-    group_by.push_back(compiled);
+    KASKADE_ASSIGN_OR_RETURN(CompiledRef compiled,
+                             CompileRef(input.columns, ref));
+    (compiled.vertex && compiled.property == nullptr ? id_keys : value_keys)
+        .push_back(compiled);
   }
   std::vector<CompiledItem> items;
   std::vector<const CompiledItem*> aggs;
   std::vector<Column> out_columns;
+  size_t num_extremes = 0;
   items.reserve(select.items.size());
   for (const SelectItem& item : select.items) {
-    CompiledItem& compiled =
-        items.emplace_back(CompiledItem{item.agg, item.star, {}, aggs.size()});
+    CompiledItem& compiled = items.emplace_back();
+    compiled.agg = item.agg;
+    compiled.star = item.star;
+    compiled.acc = aggs.size();
     if (!item.star) {
-      KASKADE_ASSIGN_OR_RETURN(compiled.ref, CompileRef(input, item.ref));
+      KASKADE_ASSIGN_OR_RETURN(compiled.ref,
+                               CompileRef(input.columns, item.ref));
+    }
+    if (item.agg == AggFunc::kMin || item.agg == AggFunc::kMax) {
+      compiled.ext = num_extremes++;
     }
     if (item.agg != AggFunc::kNone) aggs.push_back(&compiled);
     // A bare vertex-column reference stays a vertex column.
-    const bool is_vertex = item.agg == AggFunc::kNone &&
-                           item.ref.property.empty() &&
-                           input.columns()[compiled.ref.column].is_vertex;
-    out_columns.push_back(Column{item.OutputName(), is_vertex});
+    compiled.vertex_out = item.agg == AggFunc::kNone &&
+                          item.ref.property.empty() && compiled.ref.vertex;
+    out_columns.push_back(Column{item.OutputName(), compiled.vertex_out});
   }
-  Table out(std::move(out_columns));
+  ColumnBatch out(std::move(out_columns));
+  PropertyValue scratch;
 
-  auto passes = [&](const Table::Row& row) {
+  auto passes = [&](size_t row) {
     for (const auto& [lhs, cond] : where) {
-      if (!EvaluateCompare(cond->op, ReadRef(graph, row, lhs), cond->rhs)) {
+      if (!EvaluateCompare(cond->op, ReadRef(graph, input, lhs, row, &scratch),
+                           cond->rhs)) {
         return false;
       }
     }
     return true;
   };
 
-  if (aggs.empty() && group_by.empty()) {
+  if (aggs.empty() && select.group_by.empty()) {
     // Plain projection.
-    for (const Table::Row& row : input.rows()) {
+    for (size_t row = 0; row < input.num_rows; ++row) {
       if (!passes(row)) continue;
-      Table::Row out_row;
-      out_row.reserve(items.size());
-      for (const CompiledItem& item : items) {
-        out_row.push_back(ReadRef(graph, row, item.ref));
+      for (size_t i = 0; i < items.size(); ++i) {
+        const CompiledRef& ref = items[i].ref;
+        if (items[i].vertex_out) {
+          out.ids[i].push_back(input.ids[ref.column][row]);
+        } else {
+          out.values[i].push_back(ReadRef(graph, input, ref, row, &scratch));
+        }
       }
-      out.AddRow(std::move(out_row));
+      ++out.num_rows;
     }
     return out;
   }
 
   // Grouped aggregation; aggregates without GROUP BY form one group.
-  GroupTable groups(group_by.size(), aggs.size());
-  std::vector<const PropertyValue*> key(group_by.size());
-  for (const Table::Row& row : input.rows()) {
-    if (!passes(row)) continue;
-    for (size_t k = 0; k < group_by.size(); ++k) {
-      key[k] = &ReadRef(graph, row, group_by[k]);
+  GroupTable groups(id_keys.size(), value_keys.size(), aggs.size(),
+                    num_extremes);
+  std::vector<VertexId> key_ids(id_keys.size());
+  std::vector<const PropertyValue*> key_values(value_keys.size());
+  // When every value key reads a vertex property, the whole key is a
+  // function of the vertex cells the keys read: a row whose cells equal
+  // the previous row's joins the previous row's group without hashing.
+  // MATCH output lists a seed's rows together, so this skips most
+  // lookups of a key like `A.pipelineName`.
+  std::vector<size_t> key_cells;
+  bool memo = true;
+  for (const CompiledRef& ref : id_keys) key_cells.push_back(ref.column);
+  for (const CompiledRef& ref : value_keys) {
+    memo = memo && ref.vertex;
+    key_cells.push_back(ref.column);
+  }
+  // Over distinct rows, a key holding every input column as an id is
+  // new on every row: each passing row is its own group, in row order,
+  // and no key is hashed. Q1's inner `GROUP BY A, B` over its MATCH is
+  // such a grouping.
+  std::vector<bool> keyed(input.columns.size(), false);
+  for (const CompiledRef& ref : id_keys) keyed[ref.column] = true;
+  const bool row_per_group =
+      input.distinct && !id_keys.empty() &&
+      std::find(keyed.begin(), keyed.end(), false) == keyed.end();
+  std::vector<VertexId> prev_cells(key_cells.size());
+  size_t prev_group = 0;
+  bool have_prev = false;
+  auto group_of = [&](size_t row) -> size_t {
+    if (row_per_group) return groups.Append(static_cast<uint32_t>(row));
+    if (memo) {
+      bool same = have_prev;
+      for (size_t k = 0; k < key_cells.size(); ++k) {
+        const VertexId v = input.ids[key_cells[k]][row];
+        same = same && v == prev_cells[k];
+        prev_cells[k] = v;
+      }
+      if (same) return prev_group;
     }
-    Accumulator* accs = groups.accumulators(groups.FindOrAdd(key.data(), &row));
+    for (size_t k = 0; k < id_keys.size(); ++k) {
+      key_ids[k] = input.ids[id_keys[k].column][row];
+    }
+    for (size_t k = 0; k < value_keys.size(); ++k) {
+      key_values[k] = &ReadRef(graph, input, value_keys[k], row, &scratch);
+    }
+    prev_group = groups.FindOrAdd(key_ids.data(), key_values.data(),
+                                  static_cast<uint32_t>(row));
+    have_prev = true;
+    return prev_group;
+  };
+  for (size_t row = 0; row < input.num_rows; ++row) {
+    if (!passes(row)) continue;
+    const size_t group = group_of(row);
+    Accumulator* accs = groups.accumulators(group);
+    PropertyValue* extremes = groups.extremes(group);
     for (const CompiledItem* agg : aggs) {
       if (agg->star) {
         accs[agg->acc].AddRow();
       } else {
-        accs[agg->acc].Add(agg->agg, ReadRef(graph, row, agg->ref));
+        accs[agg->acc].Add(agg->agg,
+                           ReadRef(graph, input, agg->ref, row, &scratch),
+                           extremes + agg->ext);
       }
     }
   }
   // Without GROUP BY the one group exists even over no rows: COUNT reads
   // 0, the other aggregates and any plain item NULL.
-  if (group_by.empty() && groups.size() == 0) {
-    groups.FindOrAdd(nullptr, nullptr);
+  if (select.group_by.empty() && groups.size() == 0) {
+    groups.FindOrAdd(nullptr, nullptr, GroupTable::kNoRow);
   }
 
-  for (size_t group = 0; group < groups.size(); ++group) {
-    const Table::Row* first = groups.first_row(group);
-    const Accumulator* accs = groups.accumulators(group);
-    Table::Row out_row;
-    out_row.reserve(items.size());
-    for (const CompiledItem& item : items) {
+  out.num_rows = groups.size();
+  for (size_t i = 0; i < items.size(); ++i) {
+    const CompiledItem& item = items[i];
+    if (item.vertex_out) {
+      out.ids[i].reserve(groups.size());
+    } else {
+      out.values[i].reserve(groups.size());
+    }
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const uint32_t first = groups.first_row(g);
       if (item.agg != AggFunc::kNone) {
-        out_row.push_back(accs[item.acc].Finish(item.agg));
-      } else if (first != nullptr) {
-        out_row.push_back(ReadRef(graph, *first, item.ref));
+        out.values[i].push_back(groups.accumulators(g)[item.acc].Finish(
+            item.agg, groups.extremes(g) + item.ext));
+      } else if (item.vertex_out) {
+        out.ids[i].push_back(first == GroupTable::kNoRow
+                                 ? graph::kInvalidId
+                                 : input.ids[item.ref.column][first]);
+      } else if (first == GroupTable::kNoRow) {
+        out.values[i].emplace_back();
       } else {
-        out_row.emplace_back();
+        out.values[i].push_back(
+            ReadRef(graph, input, item.ref, first, &scratch));
       }
     }
-    out.AddRow(std::move(out_row));
   }
   return out;
 }
 
-}  // namespace
+/// What one `Execute` call evaluates against.
+struct ExecContext {
+  const PropertyGraph& graph;
+  const CsrGraph* csr;  ///< Null: the legacy backtracker.
+  const ExecutorOptions& options;
+  ExecutionTiming* stats;  ///< Accumulates expansions + deadline checks.
+};
 
-Result<Table> QueryExecutor::ExecuteMatch(const MatchQuery& match,
-                                          ExecutionTiming* stats) {
-  if (csr_ != nullptr) {
-    // Cheap staleness tripwires; generation keying at the engine layer
-    // is the real guarantee. The id-space check additionally catches
-    // balanced insert+remove churn that leaves both counts unchanged —
-    // which matters now that snapshots are patched forward rather than
-    // always rebuilt.
-    if (internal::CsrSnapshotIsStale(*graph_, *csr_)) {
-      return internal::StaleSnapshotError();
-    }
-    CsrMatchEvaluator evaluator(*graph_, *csr_, options_);
-    return evaluator.Run(match, stats);
+/// Runs `match` on the CSR backend. Cheap staleness tripwires first;
+/// generation keying at the engine layer is the real guarantee. The
+/// id-space check additionally catches balanced insert+remove churn
+/// that leaves both counts unchanged — which matters now that snapshots
+/// are patched forward rather than always rebuilt.
+Result<MatchRows> RunCsrMatch(const ExecContext& ctx,
+                              const MatchQuery& match) {
+  if (internal::CsrSnapshotIsStale(ctx.graph, *ctx.csr)) {
+    return internal::StaleSnapshotError();
   }
-  MatchEvaluator evaluator(*graph_, options_);
+  CsrMatchEvaluator evaluator(ctx.graph, *ctx.csr, ctx.options);
+  return evaluator.Run(match, ctx.stats);
+}
+
+Result<Table> RunLegacyMatch(const ExecContext& ctx, const MatchQuery& match) {
+  MatchEvaluator evaluator(ctx.graph, ctx.options);
   Result<Table> result = evaluator.Run(match);
-  stats->deadline_checks += evaluator.deadline_checks();
+  ctx.stats->deadline_checks += evaluator.deadline_checks();
   return result;
 }
 
-Result<Table> QueryExecutor::ExecuteSelect(const SelectQuery& select,
-                                           ExecutionTiming* stats) {
-  KASKADE_ASSIGN_OR_RETURN(
-      Table input, select.from->is_match()
-                       ? ExecuteMatch(select.from->match(), stats)
-                       : ExecuteSelect(select.from->select(), stats));
-  return EvaluateSelect(*graph_, select, input);
+/// Evaluates `select` and its inputs down to the MATCH, column batch to
+/// column batch.
+Result<ColumnBatch> EvaluateSelectStack(const ExecContext& ctx,
+                                        const SelectQuery& select) {
+  Result<ColumnBatch> input = [&]() -> Result<ColumnBatch> {
+    if (select.from->is_select()) {
+      return EvaluateSelectStack(ctx, select.from->select());
+    }
+    if (ctx.csr != nullptr) {
+      KASKADE_ASSIGN_OR_RETURN(MatchRows rows,
+                               RunCsrMatch(ctx, select.from->match()));
+      return BatchFromRows(std::move(rows));
+    }
+    KASKADE_ASSIGN_OR_RETURN(Table table,
+                             RunLegacyMatch(ctx, select.from->match()));
+    return BatchFromMatchTable(table);
+  }();
+  if (!input.ok()) return input.status();
+  return EvaluateSelect(ctx.graph, select, *input);
 }
+
+Result<Table> ExecuteQuery(const ExecContext& ctx, const Query& query) {
+  if (query.is_select()) {
+    KASKADE_ASSIGN_OR_RETURN(ColumnBatch out,
+                             EvaluateSelectStack(ctx, query.select()));
+    return BatchToTable(std::move(out));
+  }
+  if (ctx.csr == nullptr) return RunLegacyMatch(ctx, query.match());
+  KASKADE_ASSIGN_OR_RETURN(MatchRows rows, RunCsrMatch(ctx, query.match()));
+  return internal::RowSetToTable(std::move(rows.columns), rows.rows);
+}
+
+}  // namespace
 
 Result<Table> QueryExecutor::Execute(const Query& query,
                                      ExecutionTiming* timing) {
@@ -1093,8 +1319,7 @@ Result<Table> QueryExecutor::Execute(const Query& query,
       stats.deadline_checks = 1;
       return internal::DeadlineExceededError();
     }
-    return query.is_match() ? ExecuteMatch(query.match(), &stats)
-                            : ExecuteSelect(query.select(), &stats);
+    return ExecuteQuery(ExecContext{*graph_, csr_, options_, &stats}, query);
   }();
   if (timing != nullptr) {
     timing->elapsed_us =

@@ -7,12 +7,24 @@
 /// the relational shell evaluates filters, grouping and aggregates over
 /// the match rows.
 ///
+/// Rows are materialized late. The CSR MATCH drivers (sequential,
+/// seed-parallel, sharded) produce one flat array of distinct `VertexId`
+/// rows; a bare MATCH turns it into a `Table` once, at the end. A SELECT
+/// layer reads and writes column batches (vertex columns as id arrays,
+/// value columns as `PropertyValue` arrays), built from the MATCH rows
+/// without per-row allocation (the legacy backtracker's `Table` is
+/// converted at the same boundary), and only the outermost layer's
+/// output becomes a `Table`. Vertex cells hold ids of the graph the
+/// executor runs on; mapping a view's ids back to base ids is the
+/// engine's job, done in place on the returned `Table`.
+///
 /// Each SELECT layer is compiled once against its input's schema before
 /// its row loop: column references resolve to column indexes (and a
 /// vertex-property key), so an unknown column fails whatever the data.
-/// GROUP BY keys are typed values in an open-addressed hash table,
-/// equal under `PropertyValue::operator==` (int 7 and double 7.0 are one
-/// group; NaN groups with NaN), emitted in first-seen order. An
+/// GROUP BY keys live in an open-addressed hash table: vertex-column
+/// keys as raw ids, the rest as typed values equal under
+/// `PropertyValue::operator==` (int 7 and double 7.0 are one group; NaN
+/// groups with NaN). Groups are emitted in first-seen order. An
 /// aggregate SELECT without GROUP BY yields one row even over no input
 /// (COUNT 0, every other item NULL).
 ///
@@ -143,13 +155,6 @@ class QueryExecutor {
                             ExecutionTiming* timing = nullptr);
 
  private:
-  /// `stats` accumulates expansions + deadline checks (never null).
-  Result<Table> ExecuteMatch(const MatchQuery& match, ExecutionTiming* stats);
-  /// Evaluates `select.from`, then compiles `select` against that
-  /// table's columns and runs it in one pass over the rows.
-  Result<Table> ExecuteSelect(const SelectQuery& select,
-                              ExecutionTiming* stats);
-
   const graph::PropertyGraph* graph_;
   const graph::CsrGraph* csr_ = nullptr;
   ExecutorOptions options_;

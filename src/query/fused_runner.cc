@@ -525,17 +525,7 @@ std::vector<Result<Table>> ExecuteFusedMatch(
         results.push_back(merge_status);
         continue;
       }
-      Table table(std::vector<Column>(rm->columns));
-      for (size_t r = 0; r < merged.size(); ++r) {
-        const VertexId* row = merged.row(r);
-        Table::Row out;
-        out.reserve(width);
-        for (size_t k = 0; k < width; ++k) {
-          out.emplace_back(static_cast<int64_t>(row[k]));
-        }
-        table.AddRow(std::move(out));
-      }
-      results.push_back(std::move(table));
+      results.push_back(internal::RowSetToTable(rm->columns, merged));
     }
     finish_timing();
     return results;
@@ -550,7 +540,6 @@ std::vector<Result<Table>> ExecuteFusedMatch(
     stats->deadline_checks = runner.deadline_checks();
   }
 
-  const size_t width = rm->return_slots.size();
   for (size_t m = 0; m < members.size(); ++m) {
     if (!runner.error_of(m).ok()) {
       results.push_back(runner.error_of(m));
@@ -561,18 +550,7 @@ std::vector<Result<Table>> ExecuteFusedMatch(
       results.push_back(internal::DeadlineExceededError());
       continue;
     }
-    Table table(std::vector<Column>(rm->columns));
-    const RowSet& rows = runner.rows_of(m);
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const VertexId* row = rows.row(r);
-      Table::Row out;
-      out.reserve(width);
-      for (size_t k = 0; k < width; ++k) {
-        out.emplace_back(static_cast<int64_t>(row[k]));
-      }
-      table.AddRow(std::move(out));
-    }
-    results.push_back(std::move(table));
+    results.push_back(internal::RowSetToTable(rm->columns, runner.rows_of(m)));
   }
   finish_timing();
   return results;

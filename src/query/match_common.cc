@@ -175,6 +175,22 @@ bool NodeAccepts(const PropertyGraph& graph, const ResolvedPattern& pattern,
   return true;
 }
 
+Table RowSetToTable(std::vector<Column> columns, const RowSet& rows) {
+  const size_t width = columns.size();
+  Table table(std::move(columns));
+  table.Reserve(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const VertexId* row = rows.row(r);
+    Table::Row out;
+    out.reserve(width);
+    for (size_t k = 0; k < width; ++k) {
+      out.emplace_back(static_cast<int64_t>(row[k]));
+    }
+    table.AddRow(std::move(out));
+  }
+  return table;
+}
+
 void CsrTraversal::GatherDistinctNeighbors(VertexId anchor, EdgeTypeId type,
                                            bool forward,
                                            std::vector<VertexId>* out) {

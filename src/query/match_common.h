@@ -271,6 +271,12 @@ class RowSet {
   size_t num_rows_ = 0;
 };
 
+/// The result table of a bare MATCH: one `Table` row per row of `rows`,
+/// one int cell per vertex id, under `columns`. The one place where a
+/// MATCH's flat rows become per-row `Table` rows; a SELECT reads the
+/// `RowSet` instead.
+Table RowSetToTable(std::vector<Column> columns, const RowSet& rows);
+
 /// Per-plan-step reusable buffers: gathered candidates survive across
 /// the recursion into deeper steps, so they cannot be shared between
 /// steps.

@@ -1,6 +1,9 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -22,9 +25,14 @@ enum class TokKind {
 struct Token {
   TokKind kind = TokKind::kEof;
   std::string text;
-  int64_t int_value = 0;
+  /// Magnitude of an integer literal; at most 2^63, so that a leading
+  /// '-' can reach INT64_MIN.
+  uint64_t int_value = 0;
   double float_value = 0;
 };
+
+/// Largest integer-literal magnitude: -2^63 is an int64, 2^63 is not.
+constexpr uint64_t kMaxIntMagnitude = uint64_t{1} << 63;
 
 class Lexer {
  public:
@@ -64,24 +72,43 @@ class Lexer {
         }
         bool is_float = false;
         // A '.' starts a fraction only if followed by a digit ("0..8" must
-        // lex as INT RANGE INT).
+        // lex as INT RANGE INT). A fraction may carry an exponent
+        // ("1.5e-07").
         if (end + 1 < text_.size() && text_[end] == '.' &&
             std::isdigit(static_cast<unsigned char>(text_[end + 1]))) {
           is_float = true;
-          ++end;
-          while (end < text_.size() &&
-                 std::isdigit(static_cast<unsigned char>(text_[end]))) {
-            ++end;
+          end = SkipDigits(end + 1);
+          if (end < text_.size() && (text_[end] == 'e' || text_[end] == 'E')) {
+            size_t exp = end + 1;
+            if (exp < text_.size() &&
+                (text_[exp] == '+' || text_[exp] == '-')) {
+              ++exp;
+            }
+            if (exp < text_.size() &&
+                std::isdigit(static_cast<unsigned char>(text_[exp]))) {
+              end = SkipDigits(exp);
+            }
           }
         }
         Token tok;
         std::string digits = text_.substr(pos_, end - pos_);
+        const char* first = digits.data();
+        const char* last = first + digits.size();
         if (is_float) {
           tok.kind = TokKind::kFloat;
-          tok.float_value = std::stod(digits);
+          auto [ptr, ec] = std::from_chars(first, last, tok.float_value);
+          if (ec != std::errc() || ptr != last) {
+            return Status::InvalidArgument("float literal '" + digits +
+                                           "' out of range");
+          }
         } else {
           tok.kind = TokKind::kInt;
-          tok.int_value = std::stoll(digits);
+          auto [ptr, ec] = std::from_chars(first, last, tok.int_value);
+          if (ec != std::errc() || ptr != last ||
+              tok.int_value > kMaxIntMagnitude) {
+            return Status::InvalidArgument("integer literal '" + digits +
+                                           "' out of range");
+          }
         }
         tok.text = digits;
         out.push_back(std::move(tok));
@@ -89,13 +116,25 @@ class Lexer {
         continue;
       }
       if (c == '\'') {
-        size_t end = text_.find('\'', pos_ + 1);
-        if (end == std::string::npos) {
-          return Status::InvalidArgument("unterminated string literal");
+        // A doubled quote inside a string stands for one quote.
+        std::string value;
+        size_t end = pos_ + 1;
+        while (true) {
+          const size_t quote = text_.find('\'', end);
+          if (quote == std::string::npos) {
+            return Status::InvalidArgument("unterminated string literal");
+          }
+          value.append(text_, end, quote - end);
+          if (quote + 1 < text_.size() && text_[quote + 1] == '\'') {
+            value += '\'';
+            end = quote + 2;
+            continue;
+          }
+          end = quote + 1;
+          break;
         }
-        out.push_back(
-            Token{TokKind::kString, text_.substr(pos_ + 1, end - pos_ - 1), 0, 0});
-        pos_ = end + 1;
+        out.push_back(Token{TokKind::kString, std::move(value), 0, 0});
+        pos_ = end;
         continue;
       }
       // Two-char punctuation.
@@ -120,6 +159,15 @@ class Lexer {
   }
 
  private:
+  /// End of the digit run starting at `from`.
+  size_t SkipDigits(size_t from) const {
+    while (from < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[from]))) {
+      ++from;
+    }
+    return from;
+  }
+
   /// True when the digit run starting at pos_ runs into a letter or '_'
   /// (then the whole run is an identifier).
   bool StartsIdent() const {
@@ -305,17 +353,7 @@ class Parser {
         return Status::InvalidArgument("expected comparison operator");
       }
       ++pos_;
-      const Token& lit = Peek();
-      if (lit.kind == TokKind::kInt) {
-        cond.rhs = graph::PropertyValue(lit.int_value);
-      } else if (lit.kind == TokKind::kFloat) {
-        cond.rhs = graph::PropertyValue(lit.float_value);
-      } else if (lit.kind == TokKind::kString) {
-        cond.rhs = graph::PropertyValue(lit.text);
-      } else {
-        return Status::InvalidArgument("expected literal in condition");
-      }
-      ++pos_;
+      KASKADE_ASSIGN_OR_RETURN(cond.rhs, ParseLiteral());
       out.push_back(std::move(cond));
       if (IsKeyword("AND")) {
         ++pos_;
@@ -324,6 +362,44 @@ class Parser {
       break;
     }
     return out;
+  }
+
+  /// A condition's right-hand side: an optionally negated int or float,
+  /// a quoted string, `true`, `false` or `null` (the last three in any
+  /// case, like keywords).
+  Result<graph::PropertyValue> ParseLiteral() {
+    const bool negative = IsPunct("-");
+    if (negative) ++pos_;
+    const Token& lit = Peek();
+    ++pos_;
+    if (lit.kind == TokKind::kInt) {
+      if (negative) {
+        // Two's-complement negation reaches -2^63 without overflow.
+        return graph::PropertyValue(static_cast<int64_t>(0 - lit.int_value));
+      }
+      if (lit.int_value == kMaxIntMagnitude) {
+        return Status::InvalidArgument("integer literal '" + lit.text +
+                                       "' out of range");
+      }
+      return graph::PropertyValue(static_cast<int64_t>(lit.int_value));
+    }
+    if (lit.kind == TokKind::kFloat) {
+      return graph::PropertyValue(negative ? -lit.float_value
+                                           : lit.float_value);
+    }
+    if (!negative) {
+      if (lit.kind == TokKind::kString) return graph::PropertyValue(lit.text);
+      if (lit.kind == TokKind::kIdent) {
+        if (EqualsIgnoreCase(lit.text, "true")) {
+          return graph::PropertyValue(true);
+        }
+        if (EqualsIgnoreCase(lit.text, "false")) {
+          return graph::PropertyValue(false);
+        }
+        if (EqualsIgnoreCase(lit.text, "null")) return graph::PropertyValue();
+      }
+    }
+    return Status::InvalidArgument("expected literal in condition");
   }
 
   // -- MATCH ------------------------------------------------------------
@@ -356,6 +432,18 @@ class Parser {
     return node;
   }
 
+  /// Consumes the int token at the cursor as a hop bound.
+  Result<int> HopBound() {
+    const Token& tok = Peek();
+    ++pos_;
+    if (tok.int_value >
+        static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      return Status::InvalidArgument("hop bound '" + tok.text +
+                                     "' out of range");
+    }
+    return static_cast<int>(tok.int_value);
+  }
+
   /// Parses the bracket part of an edge: `[var][:TYPE][*L..U]`.
   Status ParseEdgeBody(EdgePattern* edge) {
     KASKADE_RETURN_IF_ERROR(ExpectPunct("["));
@@ -380,16 +468,14 @@ class Parser {
       edge->min_hops = 1;
       edge->max_hops = 1;
       if (Peek().kind == TokKind::kInt) {
-        edge->min_hops = static_cast<int>(Peek().int_value);
+        KASKADE_ASSIGN_OR_RETURN(edge->min_hops, HopBound());
         edge->max_hops = edge->min_hops;
-        ++pos_;
         if (IsPunct("..")) {
           ++pos_;
           if (Peek().kind != TokKind::kInt) {
             return Status::InvalidArgument("expected upper bound after '..'");
           }
-          edge->max_hops = static_cast<int>(Peek().int_value);
-          ++pos_;
+          KASKADE_ASSIGN_OR_RETURN(edge->max_hops, HopBound());
         }
       } else {
         return Status::InvalidArgument(

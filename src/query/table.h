@@ -4,6 +4,7 @@
 #ifndef KASKADE_QUERY_TABLE_H_
 #define KASKADE_QUERY_TABLE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,15 @@ struct Column {
   std::string name;
   bool is_vertex = false;
 };
+
+/// Index of the column named `name` in `columns`, or -1.
+inline int FindColumn(const std::vector<Column>& columns,
+                      const std::string& name) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i].name == name) return static_cast<int>(i);
+  }
+  return -1;
+}
 
 /// \brief A materialized query result.
 class Table {
@@ -32,13 +42,30 @@ class Table {
   size_t num_columns() const { return columns_.size(); }
 
   void AddRow(Row row) { rows_.push_back(std::move(row)); }
+  void Reserve(size_t rows) { rows_.reserve(rows); }
+
+  /// Rewrites, in place, every int cell of a vertex column to
+  /// `map(id)` (an `int64_t` to an `int64_t`). NULL cells and the cells
+  /// of other columns are left as they are.
+  template <typename Map>
+  void MapVertexIds(Map&& map) {
+    std::vector<size_t> vertex_columns;
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (columns_[c].is_vertex) vertex_columns.push_back(c);
+    }
+    if (vertex_columns.empty()) return;
+    for (Row& row : rows_) {
+      for (size_t c : vertex_columns) {
+        if (!row[c].is_int()) continue;
+        const int64_t mapped = map(row[c].as_int());
+        row[c] = graph::PropertyValue(mapped);
+      }
+    }
+  }
 
   /// Index of the column with `name`, or -1.
   int FindColumn(const std::string& name) const {
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      if (columns_[i].name == name) return static_cast<int>(i);
-    }
-    return -1;
+    return query::FindColumn(columns_, name);
   }
 
   /// Renders the first `max_rows` rows for display/tests.

@@ -10,7 +10,9 @@
 #     while the runs record one hardware thread (scaling gates skipped)
 #     and fails once both record four;
 #  5. so must a query-latency copy whose Q1 SELECT overhead is doctored up
-#     to 2.35x (the string-keyed SELECT evaluator's full / MATCH ratio).
+#     to 2.35x (the string-keyed SELECT evaluator's full / MATCH ratio);
+#  6. and one whose Q2 engine overhead is doctored up to 1.5x (what the
+#     copying view-to-base row mapping cost a view-served read).
 # Inputs: COMPARE (the binary), SOURCE_DIR (holding the committed JSONs),
 # WORK_DIR.
 
@@ -72,3 +74,8 @@ doctor(${latency} select q1_select_overhead 2.35
        query_latency.select.doctored.json)
 expect_exit(${latency} ${WORK_DIR}/query_latency.select.doctored.json 1
             "doctored Q1 select overhead")
+
+doctor(${latency} view_read q2_engine_overhead 1.5
+       query_latency.view_read.doctored.json)
+expect_exit(${latency} ${WORK_DIR}/query_latency.view_read.doctored.json 1
+            "doctored Q2 engine overhead")

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -146,6 +151,8 @@ TEST(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseQueryText("MATCH (a:Job) RETURN").ok());
   EXPECT_FALSE(ParseQueryText("MATCH (a)-[*]->(b) RETURN a").ok());
   EXPECT_FALSE(ParseQueryText("MATCH (a)-[*3..1]->(b) RETURN a").ok());
+  // 2^32 + 1 must not wrap to one hop.
+  EXPECT_FALSE(ParseQueryText("MATCH (a)-[*1..4294967297]->(b) RETURN a").ok());
   EXPECT_FALSE(ParseQueryText("SELECT FROM (MATCH (a) RETURN a)").ok());
   EXPECT_FALSE(ParseQueryText("MATCH (a:Job) RETURN a extra").ok());
 }
@@ -159,6 +166,182 @@ TEST(QueryAstTest, CloneAndToStringRoundTrip) {
   auto reparsed = ParseQueryText(q->ToString());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
   EXPECT_EQ(reparsed->ToString(), q->ToString());
+}
+
+TEST(QueryParserTest, LiteralsOfEveryKind) {
+  auto q = ParseQueryText(
+      "MATCH (j:Job)-[:W]->(f:File) WHERE j.CPU > -1 AND j.ok = true AND "
+      "j.bad = FALSE AND j.gone = null AND f.path = 'o''k' AND f.e = '' AND "
+      "j.x < -2.5 AND j.y = 1.5e-07 AND j.z = -9223372036854775808 RETURN j");
+  ASSERT_TRUE(q.ok()) << q.status();
+  const std::vector<Condition>& where = q->match().where;
+  ASSERT_EQ(where.size(), 9u);
+  EXPECT_EQ(where[0].rhs, PropertyValue(int64_t{-1}));
+  EXPECT_TRUE(where[0].rhs.is_int());
+  EXPECT_EQ(where[1].rhs, PropertyValue(true));
+  EXPECT_EQ(where[2].rhs, PropertyValue(false));
+  EXPECT_TRUE(where[3].rhs.is_null());
+  EXPECT_EQ(where[4].rhs, PropertyValue("o'k"));
+  EXPECT_EQ(where[5].rhs, PropertyValue(""));
+  EXPECT_EQ(where[6].rhs, PropertyValue(-2.5));
+  EXPECT_EQ(where[7].rhs, PropertyValue(1.5e-07));
+  EXPECT_EQ(where[8].rhs,
+            PropertyValue(std::numeric_limits<int64_t>::min()));
+
+  const char* const kBad[] = {
+      "MATCH (j:Job) WHERE j.x = 9223372036854775808 RETURN j",
+      "MATCH (j:Job) WHERE j.x = -9223372036854775809 RETURN j",
+      "MATCH (j:Job) WHERE j.x = 99999999999999999999999 RETURN j",
+      "MATCH (j:Job) WHERE j.x = 1.0e999 RETURN j",
+      "MATCH (j:Job) WHERE j.x = -'a' RETURN j",
+      "MATCH (j:Job) WHERE j.x = -true RETURN j",
+      "MATCH (j:Job) WHERE j.x = maybe RETURN j",
+      "MATCH (j:Job) WHERE j.x = 'open RETURN j",
+  };
+  for (const char* text : kBad) {
+    EXPECT_FALSE(ParseQueryText(text).ok()) << text;
+  }
+}
+
+/// True when `a` and `b` are the same value of the same type; doubles
+/// must agree bit for bit (so -0.0 is not 0.0).
+bool SameLiteral(const PropertyValue& a, const PropertyValue& b) {
+  if (a.is_double() && b.is_double()) {
+    uint64_t x = 0, y = 0;
+    const double da = a.as_double(), db = b.as_double();
+    std::memcpy(&x, &da, sizeof x);
+    std::memcpy(&y, &db, sizeof y);
+    return x == y;
+  }
+  return a.is_int() == b.is_int() && a == b;
+}
+
+TEST(QueryAstTest, RandomConditionsRoundTripThroughText) {
+  std::mt19937_64 rng(20261018);
+  const double kDoubles[] = {0.0,
+                             -0.0,
+                             2.0,
+                             -2.0,
+                             1.0000001,
+                             1.0000002,
+                             0.1,
+                             1e20,
+                             1e-300,
+                             5e-324,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest()};
+  const int64_t kInts[] = {0, -1, 7, std::numeric_limits<int64_t>::min(),
+                           std::numeric_limits<int64_t>::max()};
+  const std::string kChars = "ab '\"x-.7";
+  auto random_literal = [&]() -> PropertyValue {
+    switch (rng() % 7) {
+      case 0:
+        return PropertyValue(kInts[rng() % std::size(kInts)]);
+      case 1:
+        return PropertyValue(static_cast<int64_t>(rng()));
+      case 2:
+        return PropertyValue(kDoubles[rng() % std::size(kDoubles)]);
+      case 3: {
+        // Any finite double, drawn from random bits.
+        double d = 0;
+        do {
+          const uint64_t bits = rng();
+          std::memcpy(&d, &bits, sizeof d);
+        } while (!std::isfinite(d));
+        return PropertyValue(d);
+      }
+      case 4: {
+        std::string text;
+        for (size_t n = rng() % 6; n > 0; --n) {
+          text += kChars[rng() % kChars.size()];
+        }
+        return PropertyValue(text);
+      }
+      case 5:
+        return PropertyValue(rng() % 2 == 0);
+      default:
+        return PropertyValue();
+    }
+  };
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+
+  for (int trial = 0; trial < 300; ++trial) {
+    auto q = ParseQueryText(
+        "SELECT a, COUNT(*) FROM (MATCH (a:Job)-[:W]->(b:File) RETURN a, b) "
+        "GROUP BY a");
+    ASSERT_TRUE(q.ok()) << q.status();
+    std::vector<Condition>& match_where = q->MutableInnermostMatch()->where;
+    std::vector<Condition>& select_where = q->select().where;
+    for (std::vector<Condition>* where : {&match_where, &select_where}) {
+      for (size_t n = 1 + rng() % 3; n > 0; --n) {
+        Condition cond;
+        cond.lhs.base = rng() % 2 == 0 ? "a" : "b";
+        cond.lhs.property = "p";
+        cond.op = kOps[rng() % std::size(kOps)];
+        cond.rhs = random_literal();
+        where->push_back(std::move(cond));
+      }
+    }
+    const std::string text = q->ToString();
+    auto reparsed = ParseQueryText(text);
+    ASSERT_TRUE(reparsed.ok()) << text << ": " << reparsed.status();
+    EXPECT_EQ(reparsed->ToString(), text);
+    const auto check = [&](const std::vector<Condition>& want,
+                           const std::vector<Condition>& got) {
+      ASSERT_EQ(want.size(), got.size()) << text;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].op, got[i].op) << text;
+        EXPECT_TRUE(SameLiteral(want[i].rhs, got[i].rhs))
+            << text << ": condition " << i << " read back as "
+            << got[i].rhs.ToString();
+      }
+    };
+    check(match_where, reparsed->InnermostMatch()->where);
+    check(select_where, reparsed->select().where);
+  }
+}
+
+TEST(QueryAstTest, DoublesRenderAsDoubles) {
+  auto q = ParseQueryText("MATCH (j:Job) WHERE j.x = 2.0 RETURN j");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->ToString(), "MATCH (j:Job) WHERE j.x = 2.0 RETURN j");
+  q->match().where[0].rhs = PropertyValue(1.0000001);
+  EXPECT_EQ(q->ToString(), "MATCH (j:Job) WHERE j.x = 1.0000001 RETURN j");
+  q->match().where[0].rhs = PropertyValue(1e20);
+  EXPECT_EQ(q->ToString(), "MATCH (j:Job) WHERE j.x = 1.0e+20 RETURN j");
+  q->match().where[0].rhs = PropertyValue("it's");
+  EXPECT_EQ(q->ToString(), "MATCH (j:Job) WHERE j.x = 'it''s' RETURN j");
+}
+
+// ---------------------------------------------------------------------------
+// Table
+// ---------------------------------------------------------------------------
+
+TEST(TableTest, MapVertexIdsRewritesOnlyVertexCellsInPlace) {
+  Table t({Column{"v", true}, Column{"n", false}, Column{"w", true}});
+  t.AddRow({PropertyValue(int64_t{1}), PropertyValue(int64_t{1}),
+            PropertyValue()});
+  t.AddRow({PropertyValue(), PropertyValue(int64_t{2}),
+            PropertyValue(int64_t{3})});
+  t.AddRow({PropertyValue(int64_t{4}), PropertyValue("s"),
+            PropertyValue(int64_t{0})});
+  const PropertyValue* first_cell = &t.rows()[0][0];
+  t.MapVertexIds([](int64_t v) { return v + 100; });
+
+  ASSERT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(&t.rows()[0][0], first_cell);  // rewritten, not copied
+  const std::vector<Table::Row> want = {
+      {PropertyValue(int64_t{101}), PropertyValue(int64_t{1}),
+       PropertyValue()},
+      {PropertyValue(), PropertyValue(int64_t{2}),
+       PropertyValue(int64_t{103})},
+      {PropertyValue(int64_t{104}), PropertyValue("s"),
+       PropertyValue(int64_t{100})},
+  };
+  EXPECT_EQ(t.rows(), want);
+  EXPECT_TRUE(t.rows()[0][2].is_null());
+  EXPECT_TRUE(t.rows()[1][0].is_null());
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
@@ -45,6 +47,7 @@ using core::ViewKind;
 using graph::EdgeId;
 using graph::GraphDelta;
 using graph::PropertyGraph;
+using graph::PropertyValue;
 using graph::VertexId;
 using testutil::CanonicalRows;
 
@@ -57,11 +60,58 @@ ViewDefinition Connector(ViewKind kind, const std::string& type, int k) {
   return def;
 }
 
+/// True when `expected` and `got` hold the same columns and the same
+/// rows in some order. A view plan may emit rows in a different order
+/// (set semantics permits that), and an aggregate over them then sums
+/// in a different order, so doubles agree to a relative 1e-9; every
+/// other cell, vertex ids (in *base-graph* ids) included, exactly.
+::testing::AssertionResult SameAnswer(const query::Table& expected,
+                                      const query::Table& got) {
+  if (expected.num_columns() != got.num_columns()) {
+    return ::testing::AssertionFailure() << "column counts differ";
+  }
+  for (size_t c = 0; c < expected.num_columns(); ++c) {
+    const query::Column& want = expected.columns()[c];
+    const query::Column& have = got.columns()[c];
+    if (want.name != have.name || want.is_vertex != have.is_vertex) {
+      return ::testing::AssertionFailure()
+             << "column " << c << " is " << have.name << " (vertex "
+             << have.is_vertex << "), expected " << want.name << " (vertex "
+             << want.is_vertex << ")";
+    }
+  }
+  const std::vector<query::Table::Row> want = expected.SortedRows();
+  const std::vector<query::Table::Row> have = got.SortedRows();
+  if (want.size() != have.size()) {
+    return ::testing::AssertionFailure()
+           << have.size() << " rows, expected " << want.size();
+  }
+  for (size_t r = 0; r < want.size(); ++r) {
+    for (size_t c = 0; c < want[r].size(); ++c) {
+      const PropertyValue& a = want[r][c];
+      const PropertyValue& b = have[r][c];
+      const bool same =
+          a.is_double() && b.is_double()
+              ? std::abs(a.as_double() - b.as_double()) <=
+                    1e-9 * std::max(1.0, std::abs(a.as_double()))
+              : a.is_int() == b.is_int() && a == b;
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "row " << r << " column " << c << " is " << b.ToString()
+               << ", expected " << a.ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Runs every query in `pool` through the engine (rewrite eligible) and
-/// raw over the engine's base graph, asserting identical row multisets.
-/// Adds how many engine executions used a view to `*used_view`.
+/// raw over the engine's base graph, asserting the same answer. Adds
+/// how many engine executions used a view to `*used_view`, and the
+/// texts that did to `*served`.
 void ComparePool(Engine* engine, const std::vector<std::string>& pool,
-                 const std::string& context, size_t* used_view) {
+                 const std::string& context, size_t* used_view,
+                 std::set<std::string>* served = nullptr) {
   SCOPED_TRACE(context);
   query::QueryExecutor raw(&engine->base_graph());
   for (const std::string& text : pool) {
@@ -70,14 +120,39 @@ void ComparePool(Engine* engine, const std::vector<std::string>& pool,
                                << expected.status();
     auto got = engine->Execute(text);
     ASSERT_TRUE(got.ok()) << context << " " << text << ": " << got.status();
-    if (got->used_view) ++*used_view;
-    // Sorted-row comparison: a view plan may emit rows in a different
-    // order (set semantics permits that); contents must agree exactly,
-    // and in *base-graph* ids.
-    EXPECT_EQ(CanonicalRows(*expected), CanonicalRows(got->table))
+    if (got->used_view) {
+      ++*used_view;
+      if (served != nullptr) served->insert(text);
+    }
+    EXPECT_TRUE(SameAnswer(*expected, got->table))
         << context << " " << text << " diverged (used_view="
         << got->used_view << ", view=" << got->view_name << ")";
   }
+}
+
+/// Runs `texts` as one `ExecuteBatch` (same-shape members fuse into one
+/// shared traversal) and compares every member with the raw executor.
+/// Returns how many members a fused group served from a view.
+size_t CompareBatch(Engine* engine, const std::vector<std::string>& texts,
+                    const std::string& context) {
+  SCOPED_TRACE(context);
+  query::QueryExecutor raw(&engine->base_graph());
+  std::vector<Result<core::ExecutionResult>> results =
+      engine->ExecuteBatch(texts);
+  EXPECT_EQ(results.size(), texts.size());
+  size_t fused_from_view = 0;
+  for (size_t i = 0; i < results.size() && i < texts.size(); ++i) {
+    auto expected = raw.ExecuteText(texts[i]);
+    EXPECT_TRUE(expected.ok()) << texts[i] << ": " << expected.status();
+    EXPECT_TRUE(results[i].ok()) << texts[i] << ": " << results[i].status();
+    if (!expected.ok() || !results[i].ok()) continue;
+    if (results[i]->fused && results[i]->used_view) ++fused_from_view;
+    EXPECT_TRUE(SameAnswer(*expected, results[i]->table))
+        << context << " batch member " << i << " " << texts[i]
+        << " diverged (fused=" << results[i]->fused
+        << ", view=" << results[i]->view_name << ")";
+  }
+  return fused_from_view;
 }
 
 TEST(RewriteDifferentialTest, ProvenancePoolMatchesRawAcrossMutations) {
@@ -94,13 +169,36 @@ TEST(RewriteDifferentialTest, ProvenancePoolMatchesRawAcrossMutations) {
 
   // Template pool: aligned windows (rewrite eligible), a misaligned one
   // (must run raw and still match), and both traversal directions.
-  const std::vector<std::string> pool = {
+  const std::vector<std::string> match_pool = {
       datasets::AncestorsQueryText("Job", 2),
       datasets::AncestorsQueryText("Job", 3),
       datasets::AncestorsQueryText("Job", 4),
       datasets::DescendantsQueryText("Job", 2),
       datasets::DescendantsQueryText("Job", 4),
   };
+  // SELECT stacks over rewritable MATCHes: Table IV Q1 (its inner layer
+  // groups by vertex pairs, its outer one by a vertex property), a
+  // GROUP BY whose output is a vertex column (mapped to base ids after
+  // the SELECT ran on view ids), and a projection reading a vertex
+  // property through the view's own ids.
+  const std::string kGroupByNode =
+      "SELECT node, COUNT(*) AS ancestors FROM (" +
+      datasets::AncestorsQueryText("Job", 4) + ") GROUP BY node";
+  const std::string kPropertyRead =
+      "SELECT node, descendant, descendant.CPU FROM (" +
+      datasets::DescendantsQueryText("Job", 4) +
+      ") WHERE descendant.CPU > -1";
+  std::vector<std::string> pool = match_pool;
+  pool.push_back(datasets::BlastRadiusQueryText());
+  pool.push_back(kGroupByNode);
+  pool.push_back(kPropertyRead);
+
+  // The batch: each MATCH twice, so every shape forms a fused group.
+  std::vector<std::string> batch;
+  for (const std::string& text : match_pool) {
+    batch.push_back(text);
+    batch.push_back(text);
+  }
 
   const graph::VertexTypeId job_t =
       engine.base_graph().schema().FindVertexType("Job");
@@ -110,6 +208,8 @@ TEST(RewriteDifferentialTest, ProvenancePoolMatchesRawAcrossMutations) {
   std::vector<VertexId> files = engine.base_graph().VerticesOfType(file_t);
 
   size_t used_view = 0;
+  size_t fused_from_view = 0;
+  std::set<std::string> served;
   constexpr int kSteps = 4;
   for (int step = 0; step < kSteps; ++step) {
     if (step > 0) {
@@ -124,13 +224,19 @@ TEST(RewriteDifferentialTest, ProvenancePoolMatchesRawAcrossMutations) {
       auto report = engine.ApplyDelta(std::move(delta));
       ASSERT_TRUE(report.ok()) << report.status();
     }
-    ComparePool(&engine, pool, "prov step " + std::to_string(step),
-                &used_view);
+    const std::string context = "prov step " + std::to_string(step);
+    ComparePool(&engine, pool, context, &used_view, &served);
     if (HasFatalFailure()) return;
+    fused_from_view += CompareBatch(&engine, batch, context);
   }
   // The suite must exercise the rewrite path, not pass because the
-  // planner always chose the raw plan.
+  // planner always chose the raw plan: every SELECT stack is served by
+  // a view at least once, and so are fused batch groups.
   EXPECT_GT(used_view, 0u);
+  EXPECT_EQ(served.count(datasets::BlastRadiusQueryText()), 1u);
+  EXPECT_EQ(served.count(kGroupByNode), 1u);
+  EXPECT_EQ(served.count(kPropertyRead), 1u);
+  EXPECT_GT(fused_from_view, 0u);
 }
 
 TEST(RewriteDifferentialTest, DblpPoolMatchesRawAcrossMutations) {
