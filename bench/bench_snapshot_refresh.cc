@@ -2,23 +2,19 @@
 /// \brief Mutation-to-first-query latency: incremental CSR snapshot
 /// patching vs full rebuild.
 ///
-/// PR 2 made *logical* view maintenance O(|delta|); this bench measures
-/// the *execution-layer* half of the same story. After every
-/// `ApplyDelta` the catalog's topology snapshots are stale; the first
-/// query then pays snapshot production. With patching
-/// (`CsrGraph::PatchedFrom` through the catalog's delta trail) that cost
-/// is O(dirty vertices) plus a block copy of the dirty segments' clean
-/// rows; with patching disabled it is a full O(|V| + |E|) rebuild. We
-/// sweep delta sizes — a single edge, 0.1%, 1%, and 10% of |E| — over
-/// the social bench graph at 4x the usual scale, measuring per-mutation
-/// snapshot production and end-to-end mutation-to-first-query latency,
-/// and record the catalog's `snapshot_patches` / `snapshot_full_builds`
-/// counters so the JSON proves which path produced each number (at 10%
-/// the batch's removals exceed the trail cap in
-/// `ViewCatalog::NoteBaseDelta`, so the catalog cuts the delta trail
-/// and snapshot production takes the full-build path by design). A
-/// second table times `PatchedFrom` against `Build` directly, below the
-/// catalog, so the 10% row shows where patching would stop paying.
+/// Logical view maintenance is O(|delta|); this bench measures the
+/// *execution-layer* half of the same story. After every `ApplyDelta`
+/// the catalog's topology snapshots are stale; the first query then pays
+/// snapshot production. The catalog's segment store patches the previous
+/// snapshot: O(dirty vertices) plus a block copy of the dirty segments'
+/// clean rows. The baseline is a full O(|V| + |E|) `CsrGraph::Build` of
+/// the same post-delta graph. We sweep delta sizes — a single edge,
+/// 0.1%, 1%, and 10% of |E| — over the social bench graph at 4x the
+/// usual scale, measuring per-mutation snapshot production and
+/// end-to-end mutation-to-first-query latency, and record the catalog's
+/// `snapshot_patches` / `snapshot_full_builds` counters so the JSON
+/// proves which path produced each number (every row, 10% included,
+/// patches: there is no cap on what a patch may cover).
 ///
 /// `--json[=path]` additionally writes BENCH_snapshot_refresh.json.
 
@@ -95,23 +91,40 @@ std::vector<EdgeId> AllEdges(const PropertyGraph& graph) {
   return live;
 }
 
-struct ModeResult {
-  double snapshot_seconds = 0;      // min over iterations (noise floor)
+/// Timing of one snapshot path over a run: min over iterations (noise
+/// floor), mean, and mean mutation-to-first-query latency.
+struct PathTiming {
+  double snapshot_seconds = 0;
   double snapshot_seconds_mean = 0;
   double mutation_to_first_query = 0;  // mean ApplyDelta + snapshot + query
-  size_t patches = 0;                  // catalog telemetry over the run
+
+  void Add(int it, double snapshot, double apply_and_query) {
+    snapshot_seconds =
+        it == 0 ? snapshot : std::min(snapshot_seconds, snapshot);
+    snapshot_seconds_mean += snapshot;
+    mutation_to_first_query += apply_and_query + snapshot;
+  }
+  void Finish(int iterations) {
+    snapshot_seconds_mean /= iterations;
+    mutation_to_first_query /= iterations;
+  }
+};
+
+struct ModeResult {
+  PathTiming patched;  // the catalog's first snapshot after the mutation
+  PathTiming rebuild;  // CsrGraph::Build of the same post-delta graph
+  size_t patches = 0;  // catalog telemetry over the run
   size_t full_builds = 0;
 };
 
 /// Runs `iterations` mutate-then-query rounds of `delta_edges` edge
-/// mutations (half removals, half inserts) against a fresh engine.
-/// Exits non-zero on any warm/mutate/query failure (never lets CI
+/// mutations (half removals, half inserts) against a fresh engine,
+/// timing each round's patched snapshot and a full rebuild of the same
+/// graph. Exits non-zero on any warm/mutate/query failure (never lets CI
 /// record an all-zero "trajectory" as a green run).
-ModeResult RunMode(const PropertyGraph& graph, bool patching,
-                   size_t delta_edges, int iterations) {
-  EngineOptions options;
-  options.snapshot_patching = patching;
-  Engine engine(PropertyGraph(graph), options);
+ModeResult RunMode(const PropertyGraph& graph, size_t delta_edges,
+                   int iterations) {
+  Engine engine{PropertyGraph(graph)};
 
   std::mt19937_64 rng(1234);
   std::vector<EdgeId> live = AllEdges(graph);
@@ -128,29 +141,26 @@ ModeResult RunMode(const PropertyGraph& graph, bool patching,
                                    delta_edges - delta_edges / 2,
                                    graph.NumVertices());
 
-    double snapshot_seconds = 0;
-    double query_seconds = 0;
-    double apply_seconds = TimeSeconds([&] {
+    const double apply_seconds = TimeSeconds([&] {
       auto report = OrDie(engine.ApplyDelta(std::move(delta)), "ApplyDelta");
       for (EdgeId e : report.new_edges) live.push_back(e);
     });
-    // First snapshot acquisition after the mutation: the patched vs
-    // full-rebuild cost under measurement.
-    snapshot_seconds =
+    // First snapshot acquisition after the mutation: the patch cost
+    // under measurement.
+    const double patch_seconds =
         TimeSeconds([&] { (void)engine.catalog().BaseSnapshot(); });
-    query_seconds = TimeSeconds([&] {
+    const double query_seconds = TimeSeconds([&] {
       OrDie(engine.Execute(kFirstQuery).status(), "first query");
     });
-    result.snapshot_seconds_mean += snapshot_seconds;
-    result.snapshot_seconds = it == 0
-                                  ? snapshot_seconds
-                                  : std::min(result.snapshot_seconds,
-                                             snapshot_seconds);
-    result.mutation_to_first_query +=
-        apply_seconds + snapshot_seconds + query_seconds;
+    // The baseline, after the query so it cannot disturb it.
+    const double rebuild_seconds = TimeSeconds([&] {
+      (void)kaskade::graph::CsrGraph::Build(engine.base_graph());
+    });
+    result.patched.Add(it, patch_seconds, apply_seconds + query_seconds);
+    result.rebuild.Add(it, rebuild_seconds, apply_seconds + query_seconds);
   }
-  result.snapshot_seconds_mean /= iterations;
-  result.mutation_to_first_query /= iterations;
+  result.patched.Finish(iterations);
+  result.rebuild.Finish(iterations);
   result.patches = engine.catalog().snapshot_patches() - patches_before;
   result.full_builds = engine.catalog().snapshot_full_builds() - full_before;
   return result;
@@ -213,53 +223,6 @@ SharingResult RunSharingMode(const PropertyGraph& graph, size_t delta_edges,
   return result;
 }
 
-struct DirectResult {
-  double patch_seconds = 0;    // min over iterations
-  double rebuild_seconds = 0;  // min over iterations
-  double dirty_fraction = 0;   // mean dirty vertices / |V|
-  bool rederived_equals_dirty = true;
-};
-
-/// Patch-vs-rebuild crossover, below the catalog: `CsrGraph::PatchedFrom`
-/// (no trail caps, so the 10% row patches too) against `CsrGraph::Build`
-/// of the same post-delta graph, for the same uniform deltas as the
-/// end-to-end table. This is the measurement behind patching having no
-/// dirty-fraction fallback.
-DirectResult RunDirectPatch(const PropertyGraph& graph, size_t delta_edges,
-                            int iterations) {
-  using kaskade::graph::CsrGraph;
-  PropertyGraph g(graph);
-  std::mt19937_64 rng(1234);
-  std::vector<EdgeId> live = AllEdges(g);
-  CsrGraph prev = CsrGraph::Build(g);
-  DirectResult result;
-  for (int it = 0; it < iterations; ++it) {
-    GraphDelta delta = RandomDelta(rng, live, delta_edges / 2,
-                                   delta_edges - delta_edges / 2,
-                                   g.NumVertices());
-    auto applied = OrDie(kaskade::graph::ApplyDeltaToGraph(&g, delta),
-                         "ApplyDeltaToGraph");
-    for (EdgeId e : applied.new_edges) live.push_back(e);
-    kaskade::graph::CsrPatchStats stats;
-    CsrGraph next;
-    const double patch = TimeSeconds([&] {
-      next = CsrGraph::PatchedFrom(prev, g, delta, &stats);
-    });
-    const double rebuild =
-        TimeSeconds([&] { (void)CsrGraph::Build(g); });
-    result.patch_seconds =
-        it == 0 ? patch : std::min(result.patch_seconds, patch);
-    result.rebuild_seconds =
-        it == 0 ? rebuild : std::min(result.rebuild_seconds, rebuild);
-    result.dirty_fraction +=
-        double(stats.dirty_vertices) / double(g.NumVertices()) / iterations;
-    result.rederived_equals_dirty &=
-        !stats.full_rebuild && stats.vertices_rederived == stats.dirty_vertices;
-    prev = std::move(next);
-  }
-  return result;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -289,16 +252,15 @@ int main(int argc, char** argv) {
               "patched_snap_s", "rebuild_snap_s", "speedup",
               "patched run (p/f)");
   for (const DeltaSize& size : kSizes) {
-    ModeResult patched =
-        RunMode(graph, /*patching=*/true, size.edges, kIterations);
-    ModeResult full =
-        RunMode(graph, /*patching=*/false, size.edges, kIterations);
+    const ModeResult run = RunMode(graph, size.edges, kIterations);
+    const PathTiming& patched = run.patched;
+    const PathTiming& full = run.rebuild;
     const double speedup = patched.snapshot_seconds > 0
                                ? full.snapshot_seconds / patched.snapshot_seconds
                                : 0;
     std::printf("%-14s %10zu %14.6f %14.6f %8.1fx %12zu / %zu\n", size.label,
                 size.edges, patched.snapshot_seconds, full.snapshot_seconds,
-                speedup, patched.patches, patched.full_builds);
+                speedup, run.patches, run.full_builds);
     JsonReport::Record(size.label, "delta_edges", double(size.edges));
     JsonReport::Record(size.label, "patched_snapshot_seconds",
                        patched.snapshot_seconds);
@@ -313,46 +275,18 @@ int main(int argc, char** argv) {
                        patched.mutation_to_first_query);
     JsonReport::Record(size.label, "full_mutation_to_first_query_seconds",
                        full.mutation_to_first_query);
-    // Path proof: how many of the patched run's snapshot productions
-    // actually took the patch path vs fell back to a full build.
+    // Path proof: how many of the run's snapshot productions actually
+    // took the patch path vs fell back to a full build.
     JsonReport::Record(size.label, "patched_run_snapshot_patches",
-                       double(patched.patches));
+                       double(run.patches));
     JsonReport::Record(size.label, "patched_run_snapshot_full_builds",
-                       double(patched.full_builds));
-    JsonReport::Record(size.label, "full_run_snapshot_full_builds",
-                       double(full.full_builds));
-  }
-  std::printf(
-      "\nnote: at 10%% the catalog cuts the delta trail at logging time\n"
-      "(the removal cap in NoteBaseDelta), so the next snapshot takes the\n"
-      "full-build path by design — the telemetry columns prove which path\n"
-      "produced each row.\n");
-
-  // ---- Direct patch path: does patching ever stop paying? ------------
-  PrintHeader("direct patch path: PatchedFrom vs Build (no trail caps)");
-  std::printf("%-14s %10s %10s %14s %14s %9s\n", "delta", "|delta|",
-              "dirty_frac", "patch_s", "rebuild_s", "speedup");
-  bool direct_ok = true;
-  for (const DeltaSize& size : kSizes) {
-    DirectResult r = RunDirectPatch(graph, size.edges, kIterations);
-    const double speedup =
-        r.patch_seconds > 0 ? r.rebuild_seconds / r.patch_seconds : 0;
-    std::printf("%-14s %10zu %10.3f %14.6f %14.6f %8.1fx\n", size.label,
-                size.edges, r.dirty_fraction, r.patch_seconds,
-                r.rebuild_seconds, speedup);
-    const std::string section = std::string("direct_") + size.label;
-    JsonReport::Record(section, "delta_edges", double(size.edges));
-    JsonReport::Record(section, "dirty_vertex_fraction", r.dirty_fraction);
-    JsonReport::Record(section, "patch_seconds", r.patch_seconds);
-    JsonReport::Record(section, "rebuild_seconds", r.rebuild_seconds);
-    JsonReport::Record(section, "patch_speedup", speedup);
-    if (!r.rederived_equals_dirty) {
-      std::printf("FAIL: %s re-derived a row count other than its dirty "
-                  "vertex count\n", section.c_str());
-      direct_ok = false;
+                       double(run.full_builds));
+    if (run.full_builds != 0) {
+      std::printf("FAIL: %s fell back to %zu full builds\n", size.label,
+                  run.full_builds);
+      return 1;
     }
   }
-  if (!direct_ok) return 1;
 
   // ---- Segment sharing: patch bytes vs full-CSR bytes -----------------
   // PR 5's patch path rewrote the whole CSR arrays every time, so its

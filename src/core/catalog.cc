@@ -29,26 +29,33 @@ bool StatsAreStale(const graph::GraphStats& stats,
          now.schema().num_vertex_types() != stats.per_type().size();
 }
 
-/// Re-materializes `entry` over `base` and re-attaches a maintainer
-/// when the kind supports one (a rebuilt view invalidates any previous
-/// maintainer's indexes).
-Status Rebuild(const graph::PropertyGraph& base, CatalogEntry* entry) {
-  Result<MaterializedView> fresh = Materialize(base, entry->view.definition);
-  if (!fresh.ok()) return fresh.status();
-  entry->view = std::move(*fresh);
+/// Swaps `view` into `entry` and re-attaches a maintainer when the kind
+/// supports one (a replaced view invalidates any previous maintainer's
+/// indexes; a null maintainer means RefreshAll re-materializes instead).
+/// The new graph shares no lineage with the entry's snapshots, so its
+/// next snapshot is a full build.
+void Install(const graph::PropertyGraph& base, CatalogEntry* entry,
+             MaterializedView view) {
+  entry->view = std::move(view);
   entry->maintainer =
       ViewMaintainer::SupportsKind(entry->view.definition.kind)
           ? std::make_unique<ViewMaintainer>(&base, &entry->view)
           : nullptr;
-  return Status::OK();
+  entry->snapshots->NoteChanged();
+  RefreshStats(entry);
 }
 
-/// Trail bounds: past either cap a snapshot patch would walk a delta
-/// history approaching the size of the graph, so the slot falls back to
-/// one full rebuild (which resets the trail) instead of growing without
-/// bound under a stream of mutations that nobody queries between.
-constexpr size_t kMaxTrailBatches = 64;
-constexpr size_t kMaxTrailRemovals = 8192;
+/// Re-materializes `entry` over `base`. Its snapshots are dropped first:
+/// their memory is released before the rebuild allocates, and a failed
+/// rebuild leaves the old graph (possibly half-updated by a failed
+/// maintenance pass) with none to serve.
+Status Rebuild(const graph::PropertyGraph& base, CatalogEntry* entry) {
+  entry->snapshots->NoteChanged();
+  Result<MaterializedView> fresh = Materialize(base, entry->view.definition);
+  if (!fresh.ok()) return fresh.status();
+  Install(base, entry, std::move(*fresh));
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -74,102 +81,21 @@ bool ViewCatalog::RefreshBaseStatsIfStale() {
 void ViewCatalog::NoteBaseGraphChanged() {
   std::unique_lock lock(mu_);
   BumpGeneration();
-  InvalidateSnapshot(kInvalidViewHandle);
+  base_snapshots_.NoteChanged();
   if (RefreshBaseStatsIfStale()) BumpPlanEpoch();
 }
 
-void ViewCatalog::BumpGeneration() {
-  const uint64_t gen = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  for (auto& [handle, slot] : snapshots_) {
-    if (slot.patchable) slot.head_generation = gen;
-  }
-}
-
-bool ViewCatalog::WantsBaseDeltaTrail() const {
-  // The sharded store always consumes footprints: removal ids are how
-  // it finds the segments a batch dirtied.
-  if (store_ != nullptr) return true;
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  auto it = snapshots_.find(kInvalidViewHandle);
-  return it != snapshots_.end() && it->second.patchable &&
-         it->second.csr != nullptr;
-}
-
-void ViewCatalog::NoteBaseDelta(const graph::DeltaFootprintPtr& delta) {
-  if (delta == nullptr) {
-    // The caller chose not to materialize a footprint; if a patchable
-    // base snapshot exists after all, it must not survive with a trail
-    // that misses this batch.
-    InvalidateSnapshot(kInvalidViewHandle);
-    return;
-  }
-  if (store_ != nullptr) {
-    // Sharded base pipeline: O(|delta|) per-shard dirty marking instead
-    // of the single-slot trail.
-    store_->NoteDelta(delta);
-    return;
-  }
-  if (delta->edge_removals.empty()) {
-    // Insert-only batches need no log: the patch path discovers
-    // appended vertices/edges from id-space growth.
-    return;
-  }
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  auto it = snapshots_.find(kInvalidViewHandle);
-  if (it == snapshots_.end()) return;  // nothing cached; nothing to patch
-  SnapshotSlot& slot = it->second;
-  if (!slot.patchable) return;
-  if (slot.trail_batches >= kMaxTrailBatches ||
-      slot.trail_removals + delta->edge_removals.size() > kMaxTrailRemovals) {
-    slot.patchable = false;
-    slot.csr.reset();
-    slot.base_trail.clear();
-    slot.trail_batches = slot.trail_removals = 0;
-    return;
-  }
-  slot.base_trail.push_back(delta);
-  ++slot.trail_batches;
-  slot.trail_removals += delta->edge_removals.size();
-}
-
-void ViewCatalog::NoteViewDelta(ViewHandle handle,
-                                std::vector<graph::EdgeId> removed) {
-  if (removed.empty()) return;  // insert-only: id-space growth covers it
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  auto it = snapshots_.find(handle);
-  if (it == snapshots_.end()) return;
-  SnapshotSlot& slot = it->second;
-  if (!slot.patchable) return;
-  if (slot.trail_batches >= kMaxTrailBatches ||
-      slot.trail_removals + removed.size() > kMaxTrailRemovals) {
-    slot.patchable = false;
-    slot.csr.reset();
-    slot.view_removals.clear();
-    slot.trail_batches = slot.trail_removals = 0;
-    return;
-  }
-  slot.view_removals.insert(slot.view_removals.end(), removed.begin(),
-                            removed.end());
-  ++slot.trail_batches;
-  slot.trail_removals += removed.size();
-}
-
-void ViewCatalog::InvalidateSnapshot(ViewHandle handle) {
-  if (handle == kInvalidViewHandle && store_ != nullptr) {
-    // Out-of-band base change: every shard rebuilds its segments on
-    // the next refresh.
-    store_->NoteChanged();
-  }
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  auto it = snapshots_.find(handle);
-  if (it == snapshots_.end()) return;
-  SnapshotSlot& slot = it->second;
-  slot.patchable = false;
-  slot.csr.reset();
-  slot.base_trail.clear();
-  slot.view_removals.clear();
-  slot.trail_batches = slot.trail_removals = 0;
+CatalogEntry* ViewCatalog::AddEntry(const ViewDefinition& definition) {
+  auto entry = std::unique_ptr<CatalogEntry>(new CatalogEntry{
+      next_handle_++,
+      MaterializedView{definition, graph::PropertyGraph(graph::GraphSchema{}),
+                       {}},
+      graph::GraphStats{}, nullptr, ViewState::kBuilding, Status::OK(),
+      nullptr});
+  // The store binds to the graph's final address inside the entry.
+  entry->snapshots = std::make_unique<SegmentStore>(&entry->view.graph, 1);
+  entries_.push_back(std::move(entry));
+  return entries_.back().get();
 }
 
 const char* ViewStateName(ViewState state) {
@@ -203,33 +129,13 @@ Result<ViewHandle> ViewCatalog::Add(const ViewDefinition& definition) {
   }
   Result<MaterializedView> view = Materialize(*base_, definition);
   if (!view.ok()) return view.status();
-  if (reclaim != nullptr) {
-    reclaim->view = std::move(*view);
-    reclaim->maintainer =
-        ViewMaintainer::SupportsKind(reclaim->view.definition.kind)
-            ? std::make_unique<ViewMaintainer>(base_, &reclaim->view)
-            : nullptr;
-    RefreshStats(reclaim);
-    reclaim->state = ViewState::kReady;
-    reclaim->health = Status::OK();
-    InvalidateSnapshot(reclaim->handle);
-    BumpGeneration();
-    BumpPlanEpoch();
-    return reclaim->handle;
-  }
-
-  auto entry = std::unique_ptr<CatalogEntry>(new CatalogEntry{
-      next_handle_++, std::move(*view), graph::GraphStats{}, nullptr});
-  RefreshStats(entry.get());
-  // A null maintainer slot means RefreshAll re-materializes instead.
-  if (ViewMaintainer::SupportsKind(entry->view.definition.kind)) {
-    entry->maintainer = std::make_unique<ViewMaintainer>(base_, &entry->view);
-  }
-  ViewHandle handle = entry->handle;
-  entries_.push_back(std::move(entry));
+  CatalogEntry* entry = reclaim != nullptr ? reclaim : AddEntry(definition);
+  Install(*base_, entry, std::move(*view));
+  entry->state = ViewState::kReady;
+  entry->health = Status::OK();
   BumpGeneration();
   BumpPlanEpoch();
-  return handle;
+  return entry->handle;
 }
 
 Result<ViewHandle> ViewCatalog::BeginBuild(const ViewDefinition& definition) {
@@ -246,7 +152,7 @@ Result<ViewHandle> ViewCatalog::BeginBuild(const ViewDefinition& definition) {
         entry->maintainer.reset();
         entry->state = ViewState::kBuilding;
         entry->health = Status::OK();
-        InvalidateSnapshot(entry->handle);
+        entry->snapshots->NoteChanged();
         return entry->handle;
       }
       return Status::AlreadyExists(
@@ -254,17 +160,9 @@ Result<ViewHandle> ViewCatalog::BeginBuild(const ViewDefinition& definition) {
           ViewStateName(entry->state) + ")");
     }
   }
-  auto entry = std::unique_ptr<CatalogEntry>(new CatalogEntry{
-      next_handle_++,
-      MaterializedView{definition, graph::PropertyGraph(graph::GraphSchema{}),
-                       {}},
-      graph::GraphStats{}, nullptr});
-  entry->state = ViewState::kBuilding;
-  ViewHandle handle = entry->handle;
-  entries_.push_back(std::move(entry));
   // No generation bump: nothing planner-visible changed, so cached plans
   // stay exactly as valid as they were.
-  return handle;
+  return AddEntry(definition)->handle;
 }
 
 Status ViewCatalog::Publish(ViewHandle handle, MaterializedView built) {
@@ -275,18 +173,10 @@ Status ViewCatalog::Publish(ViewHandle handle, MaterializedView built) {
       return Status::FailedPrecondition("view '" + entry->name() +
                                         "' is not in the building state");
     }
-    entry->view = std::move(built);
-    entry->maintainer =
-        ViewMaintainer::SupportsKind(entry->view.definition.kind)
-            ? std::make_unique<ViewMaintainer>(base_, &entry->view)
-            : nullptr;
-    RefreshStats(entry.get());
+    Install(*base_, entry.get(), std::move(built));
     entry->state = ViewState::kReady;
     BumpGeneration();
     BumpPlanEpoch();
-    // Defensive: a placeholder has no snapshot to patch from, and the
-    // published graph shares no lineage with anything cached.
-    InvalidateSnapshot(handle);
     return Status::OK();
   }
   return Status::NotFound("no catalog entry for the published handle");
@@ -314,7 +204,8 @@ void ViewCatalog::QuarantineLocked(CatalogEntry* entry, Status reason) {
   // exact; a reclaim rebuilds both from scratch.
   entry->maintainer.reset();
   quarantine_events_.fetch_add(1, std::memory_order_relaxed);
-  InvalidateSnapshot(entry->handle);
+  // Out of service: release the snapshot memory until a reclaim.
+  entry->snapshots->NoteChanged();
   // Cached plans that routed queries to this view must stop matching.
   BumpGeneration();
   BumpPlanEpoch();
@@ -342,14 +233,7 @@ Status ViewCatalog::Remove(const std::string& name) {
             "(Engine::WaitForBuilds) and retry the removal");
       }
       (*it)->state = ViewState::kDropping;
-      ViewHandle handle = (*it)->handle;
       entries_.erase(it);
-      {
-        // Handles are never reused, so the dropped slot can only leak —
-        // reclaim it eagerly.
-        std::lock_guard<std::mutex> snapshot_lock(snapshot_mu_);
-        snapshots_.erase(handle);
-      }
       BumpGeneration();
       BumpPlanEpoch();
       return Status::OK();
@@ -370,10 +254,11 @@ Status ViewCatalog::RefreshAll() {
     if (entry->state != ViewState::kReady) continue;
     if (entry->maintainer != nullptr) {
       // CatchUp only ever *appends* to the view (it replays insertions
-      // past the watermark), which the snapshot patch path discovers
-      // from id-space growth — the view's snapshot trail stays valid.
+      // past the watermark), which the snapshot store discovers from
+      // id-space growth: no removal list needed.
       Result<MaintenanceStats> stats = entry->maintainer->CatchUp();
       if (stats.ok()) {
+        entry->snapshots->NoteDelta({});
         if (stats->edges_added + stats->edges_removed +
                 stats->edges_updated + stats->vertices_added +
                 stats->vertices_removed ==
@@ -394,35 +279,24 @@ Status ViewCatalog::RefreshAll() {
       // view is unreconstructible incrementally — rebuild it rather
       // than serve stale results.
     }
-    // Invalidate before rebuilding so a Rebuild failure cannot leave a
-    // patchable slot pointing at a replaced (or half-replaced) graph.
-    InvalidateSnapshot(entry->handle);
     KASKADE_RETURN_IF_ERROR(Rebuild(*base_, entry.get()));
-    RefreshStats(entry.get());
   }
   return Status::OK();
 }
 
 Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
     const graph::GraphDelta& delta) {
-  return ApplyBaseDelta(delta,
-                        std::make_shared<const graph::DeltaFootprint>(delta));
-}
-
-Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
-    const graph::GraphDelta& delta, graph::DeltaFootprintPtr footprint) {
   std::unique_lock lock(mu_);
-  // One generation bump covers the whole batch — snapshots of the
-  // pre-delta catalog stop matching exactly once.
+  // One generation bump covers the whole batch — plans of the pre-delta
+  // catalog are checked against it exactly once.
   BumpGeneration();
   // Plan choice only moves when a statistic the planner costs with
   // does: a refreshed base or view summary, or a view rematerialized
   // (quarantines move the epoch themselves).
   bool plan_visible = RefreshBaseStatsIfStale();
-  // The footprint describes exactly how the base graph moved: record it
-  // on the base snapshot's delta trail so the next BaseSnapshot patches
-  // instead of rebuilding.
-  NoteBaseDelta(footprint);
+  // The removals plus id-space growth describe exactly how the base
+  // graph moved, so the next BaseSnapshot patches instead of rebuilding.
+  base_snapshots_.NoteDelta(delta.edge_removals);
   DeltaMaintenanceReport report;
   const size_t inserts = delta.edge_inserts.size();
   const size_t removals = delta.edge_removals.size();
@@ -454,8 +328,7 @@ Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
       Result<MaintenanceStats> stats = entry->maintainer->ApplyDelta(delta);
       entry->maintainer->set_removed_edge_sink(nullptr);
       if (stats.ok()) {
-        NoteViewDelta(entry->handle, std::move(removed_view_edges));
-        removed_view_edges = {};
+        entry->snapshots->NoteDelta(removed_view_edges);
         report.stats += *stats;
         ++report.views_incremental;
         // Re-weighted edges (edges_updated) never move the degree
@@ -475,8 +348,8 @@ Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
       }
       if (stats.status().code() != StatusCode::kFailedPrecondition) {
         // Internal errors signal corrupt maintenance state: the failed
-        // pass may have mutated the view in ways neither the trail nor
-        // a maintainer rebuild can describe. Quarantine the view rather
+        // pass may have mutated the view in ways neither a removal list
+        // nor a maintainer rebuild can describe. Quarantine the view rather
         // than failing the whole write — the base graph and every other
         // view are already exact, and queries that would have used this
         // view fall back to the base graph.
@@ -488,11 +361,8 @@ Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
       // rebuilding restores exactness instead of stranding a stale
       // entry behind the already-mutated base graph.
     }
-    // Invalidate before rebuilding: the failed pass above may already
-    // have tombstoned view edges the trail never recorded, and the
-    // rebuild replaces the graph wholesale — either way the old
-    // snapshot cannot be patched forward, even if Rebuild errors out.
-    InvalidateSnapshot(entry->handle);
+    // The failed pass above may already have tombstoned view edges no
+    // store heard about; Rebuild drops the view's snapshots either way.
     Status rebuilt = Rebuild(*base_, entry.get());
     if (!rebuilt.ok()) {
       // The half-updated view could not be restored to exactness:
@@ -504,7 +374,6 @@ Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
       continue;
     }
     ++report.views_rematerialized;
-    RefreshStats(entry.get());
     plan_visible = true;
   }
   if (plan_visible) BumpPlanEpoch();
@@ -559,135 +428,52 @@ std::vector<const CatalogEntry*> ViewCatalog::Entries() const {
 }
 
 std::shared_ptr<const graph::CsrGraph> ViewCatalog::SnapshotOf(
-    ViewHandle handle, const graph::PropertyGraph& g) const {
-  // The caller excludes concurrent catalog/base mutation (Engine reader
-  // discipline), so the generation cannot move during this call.
-  const uint64_t gen = generation();
-  if (handle == kInvalidViewHandle && store_ != nullptr) {
-    // Sharded base pipeline: stale shards refresh under their own
-    // writer locks (disjoint shards concurrently), dirty segments
-    // rebuild, clean ones share by refcount. Views keep the
-    // single-slot path below.
-    SegmentStore::Outcome outcome;
-    std::shared_ptr<const graph::CsrGraph> snap =
-        store_->Snapshot(gen, &outcome);
-    switch (outcome) {
-      case SegmentStore::Outcome::kHit:
-        snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case SegmentStore::Outcome::kPatch:
-        snapshot_builds_.fetch_add(1, std::memory_order_relaxed);
-        snapshot_patches_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case SegmentStore::Outcome::kFullBuild:
-        snapshot_builds_.fetch_add(1, std::memory_order_relaxed);
-        snapshot_full_builds_.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
-    return snap;
-  }
-  std::shared_ptr<const graph::CsrGraph> prev;
-  std::vector<graph::EdgeId> removals;
-  bool patch = false;
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    SnapshotSlot& slot = snapshots_[handle];
-    if (slot.csr != nullptr && slot.csr_generation == gen) {
-      snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
-      return slot.csr;
-    }
-    if (slot.csr != nullptr && slot.patchable &&
-        slot.head_generation == gen) {
-      // The trail covers everything between the cached snapshot and the
-      // current generation. When nothing actually changed for this
-      // handle (the generation moved for unrelated reasons — another
-      // view registered, say), the old snapshot is still exact:
-      // re-stamp it instead of producing anything.
-      const bool unchanged =
-          slot.trail_batches == 0 &&
-          slot.csr->edge_id_space() == g.NumEdges() &&
-          slot.csr->NumVertices() == g.NumVertices() &&
-          slot.csr->NumEdges() == g.NumLiveEdges();
-      if (unchanged) {
-        slot.csr_generation = gen;
-        snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
-        return slot.csr;
-      }
-      patch = true;
-      prev = slot.csr;
-      if (handle == kInvalidViewHandle) {
-        removals.reserve(slot.trail_removals);
-        for (const graph::DeltaFootprintPtr& batch : slot.base_trail) {
-          removals.insert(removals.end(), batch->edge_removals.begin(),
-                          batch->edge_removals.end());
-        }
-      } else {
-        removals = slot.view_removals;
-      }
-    }
+    const SegmentStore& store, const char* what) const {
+  if (std::shared_ptr<const graph::CsrGraph> cached = store.Cached()) {
+    snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
+    return cached;
   }
   if (fault_hooks_.enabled()) {
-    Status injected = fault_hooks_.Fire(
-        FaultSite::kSnapshotBuild,
-        handle == kInvalidViewHandle ? "base" : "view snapshot");
+    Status injected = fault_hooks_.Fire(FaultSite::kSnapshotBuild, what);
     if (!injected.ok()) {
       // A failed snapshot production is fully recoverable: the caller
       // sees no CSR and the query layer degrades to the legacy
       // (non-CSR) MATCH backend — slower, still exact. Nothing was
-      // cached, so the next request retries the build.
+      // produced, so the next request retries.
       snapshot_build_failures_.fetch_add(1, std::memory_order_relaxed);
       return nullptr;
     }
   }
-  // Produce outside the cache mutex: a miss on one handle must not
-  // stall cache hits on every other handle behind the build. Concurrent
-  // missers on the same (handle, generation) may race duplicate
-  // (identical) snapshots; the first to publish wins and the losers
-  // adopt it.
-  std::shared_ptr<const graph::CsrGraph> built;
-  bool patched = false;
-  if (patch) {
-    // O(dirty vertices) path: derive the next snapshot from the previous
-    // one through the merged trail.
-    graph::CsrPatchStats patch_stats;
-    built = std::make_shared<const graph::CsrGraph>(
-        graph::CsrGraph::PatchedFrom(*prev, g, removals, &patch_stats));
-    patched = !patch_stats.full_rebuild;
-    patch_segments_copied_.fetch_add(patch_stats.segments_copied,
-                                     std::memory_order_relaxed);
-    patch_segments_shared_.fetch_add(patch_stats.segments_shared,
-                                     std::memory_order_relaxed);
-    patch_bytes_copied_.fetch_add(patch_stats.bytes_copied,
-                                  std::memory_order_relaxed);
-  } else {
-    built =
-        std::make_shared<const graph::CsrGraph>(graph::CsrGraph::Build(g));
+  SegmentStore::Outcome outcome = SegmentStore::Outcome::kHit;
+  graph::CsrPatchStats stats;
+  std::shared_ptr<const graph::CsrGraph> snap =
+      store.Snapshot(&outcome, &stats);
+  // Segment work counts even when a concurrent caller published first.
+  patch_segments_copied_.fetch_add(stats.segments_copied,
+                                   std::memory_order_relaxed);
+  patch_segments_shared_.fetch_add(stats.segments_shared,
+                                   std::memory_order_relaxed);
+  patch_bytes_copied_.fetch_add(stats.bytes_copied, std::memory_order_relaxed);
+  if (outcome == SegmentStore::Outcome::kHit) {
+    snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
+    return snap;
   }
   snapshot_builds_.fetch_add(1, std::memory_order_relaxed);
-  (patched ? snapshot_patches_ : snapshot_full_builds_)
+  (outcome == SegmentStore::Outcome::kPatch ? snapshot_patches_
+                                            : snapshot_full_builds_)
       .fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  SnapshotSlot& slot = snapshots_[handle];
-  if (slot.csr != nullptr && slot.csr_generation == gen) return slot.csr;
-  slot.csr = std::move(built);
-  slot.csr_generation = gen;
-  slot.head_generation = gen;
-  slot.patchable = snapshot_patching_;
-  slot.trail_batches = slot.trail_removals = 0;
-  slot.base_trail.clear();
-  slot.view_removals.clear();
-  return slot.csr;
+  return snap;
 }
 
 std::shared_ptr<const graph::CsrGraph> ViewCatalog::BaseSnapshot() const {
-  return SnapshotOf(kInvalidViewHandle, *base_);
+  return SnapshotOf(base_snapshots_, "base");
 }
 
 std::shared_ptr<const graph::CsrGraph> ViewCatalog::SnapshotFor(
     ViewHandle handle) const {
   const CatalogEntry* entry = Get(handle);
   if (entry == nullptr) return nullptr;
-  return SnapshotOf(handle, entry->view.graph);
+  return SnapshotOf(*entry->snapshots, "view snapshot");
 }
 
 }  // namespace kaskade::core

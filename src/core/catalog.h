@@ -12,8 +12,10 @@
 ///
 /// Every mutation — registering a view, refreshing views, dropping a
 /// view, or an announced base-graph change — bumps a monotonic
-/// *generation* counter, which keys the CSR topology snapshots: a
-/// snapshot never outlives the graph state it was built from.
+/// *generation* counter, against which plans are checked before they run.
+/// The CSR topology snapshots queries run on come from one
+/// `SegmentStore` over the base graph and one per view, each told about
+/// every change to its graph under the writer lock.
 ///
 /// The catalog also holds the base graph's statistics beside each
 /// view's (the "graph data properties" of §V-A, built once and
@@ -42,10 +44,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -113,6 +113,9 @@ struct CatalogEntry {
   /// `kQuarantined`, in which case it holds the failure that forced the
   /// quarantine (build error, maintenance fault).
   Status health = Status::OK();
+  /// CSR snapshots of `view.graph` (one shard). Bound to the graph's
+  /// address, which assignments to `view` keep.
+  std::unique_ptr<SegmentStore> snapshots;
 
   std::string name() const { return view.definition.Name(); }
 };
@@ -134,19 +137,14 @@ struct DeltaMaintenanceReport {
 class ViewCatalog {
  public:
   /// Binds to the base graph the views are materialized from. The graph
-  /// must outlive the catalog and must not move (maintainers hold
-  /// pointers to it). `snapshot_patching` switches incremental CSR
-  /// snapshot production (false: every snapshot miss is a full
-  /// rebuild). `shards >= 2` routes base-graph snapshot production
-  /// through a per-shard `SegmentStore` pipeline (see segment_store.h);
-  /// 1 keeps the single-slot path, byte-identical to previous behavior.
-  explicit ViewCatalog(const graph::PropertyGraph* base,
-                       bool snapshot_patching = true, size_t shards = 1)
+  /// must outlive the catalog and must not move (maintainers and the
+  /// base snapshot store hold pointers to it). The base graph's
+  /// snapshots are partitioned into `shards` per-shard pipelines (see
+  /// segment_store.h).
+  explicit ViewCatalog(const graph::PropertyGraph* base, size_t shards = 1)
       : base_(base),
-        snapshot_patching_(snapshot_patching),
         base_stats_(graph::GraphStats::Compute(*base)),
-        store_(shards >= 2 ? std::make_unique<SegmentStore>(base, shards)
-                           : nullptr) {}
+        base_snapshots_(base, shards) {}
 
   ViewCatalog(const ViewCatalog&) = delete;
   ViewCatalog& operator=(const ViewCatalog&) = delete;
@@ -211,26 +209,19 @@ class ViewCatalog {
   /// past the staleness threshold, and only such a refresh (or a view
   /// rematerialized or quarantined) moves the plan epoch.
   ///
-  /// The batch's *footprint* (removal ids + insert counts; never the
-  /// insert payloads) is recorded on the base graph's snapshot delta
-  /// trail, and each incrementally-maintained view's removed view edges
-  /// on that view's trail, so the next `BaseSnapshot`/`SnapshotFor`
-  /// patches the previous CSR snapshot forward in O(|delta|) instead of
-  /// rebuilding in O(|V| + |E|). Rematerialized views fall off the
-  /// patch path (their snapshot is rebuilt from scratch). Pass the
-  /// footprint the engine already shares with its pending-delta log so
-  /// the batch is materialized once; the single-argument overload
-  /// captures a fresh one.
-  Result<DeltaMaintenanceReport> ApplyBaseDelta(
-      const graph::GraphDelta& delta, graph::DeltaFootprintPtr footprint);
+  /// The base snapshot store is told the batch's removals, and each
+  /// incrementally maintained view's store the view edges its
+  /// maintainer removed, so the next `BaseSnapshot`/`SnapshotFor`
+  /// patches only the rows the batch touched instead of rebuilding in
+  /// O(|V| + |E|). A rematerialized view's next snapshot is a full
+  /// build.
   Result<DeltaMaintenanceReport> ApplyBaseDelta(const graph::GraphDelta& delta);
 
-  /// Announces an out-of-band base-graph change (e.g. appended edges)
-  /// so generation-keyed snapshots are invalidated before the next
-  /// refresh, and refreshes the base statistics when the change drifted
-  /// them past the staleness threshold. The base graph's snapshot trail
-  /// cannot describe an arbitrary mutation, so the next `BaseSnapshot`
-  /// is a full rebuild.
+  /// Announces an out-of-band base-graph change (e.g. appended edges):
+  /// bumps the generation and refreshes the base statistics when the
+  /// change drifted them past the staleness threshold. No removal list
+  /// describes an arbitrary mutation, so the next `BaseSnapshot` is a
+  /// full build.
   void NoteBaseGraphChanged();
 
   /// Monotonic counter: strictly increases on every catalog mutation or
@@ -289,31 +280,25 @@ class ViewCatalog {
   /// \name CSR topology snapshots for the query hot path.
   ///
   /// One frozen `CsrGraph` per materialized view *and* the base graph,
-  /// built lazily on first request and cached keyed by
-  /// `(handle, generation)`. Because every catalog mutation and every
-  /// announced base-graph change bumps the generation, invalidation is
-  /// implicit: after `ApplyBaseDelta` / `MutateBaseGraph` /
-  /// `NoteBaseGraphChanged` the next request simply produces a fresh
-  /// snapshot. The returned `shared_ptr` owns a self-contained copy of
-  /// the topology, so a reader may keep using a snapshot even after it
-  /// has been superseded.
+  /// produced lazily on first request by that graph's `SegmentStore`
+  /// and cached until the graph next changes. The returned `shared_ptr`
+  /// owns its segments, so a reader may keep using a snapshot even after
+  /// it has been superseded.
   ///
-  /// A generation miss does **not** imply an O(|V| + |E|) rebuild: each
-  /// handle keeps its last published snapshot plus a bounded *delta
-  /// trail* of what changed since (`ApplyBaseDelta` records it), and the
-  /// next request patches the old snapshot forward in O(|delta|) via
-  /// `CsrGraph::PatchedFrom`. The patch path falls back to a full
-  /// rebuild when the trail was truncated or bypassed (out-of-band
-  /// mutation, view rematerialization, generation moved without trail
-  /// coverage). Telemetry splits the two:
+  /// A change does not imply an O(|V| + |E|) rebuild: every writer site
+  /// tells the store what it changed (`ApplyBaseDelta`, `RefreshAll`'s
+  /// catch-up), and the next request patches only the segments holding
+  /// touched vertices, sharing the rest with the previous snapshot.
+  /// Changes no removal list describes (`NoteBaseGraphChanged`, a view
+  /// rebuilt, published, reclaimed or quarantined) make the next request
+  /// a full build. Telemetry splits the two:
   /// `snapshot_builds() == snapshot_patches() + snapshot_full_builds()`.
   ///
   /// Callers must hold off concurrent mutation of the underlying graphs
   /// for the duration of the call (the Engine's reader lock does this);
-  /// concurrent readers are safe. Builds happen outside the cache lock,
-  /// so a miss never stalls hits on other handles; concurrent missers
-  /// on the same handle may build duplicate (identical) snapshots, and
-  /// the first to publish wins.
+  /// concurrent readers are safe. Refreshes take only the store's
+  /// per-shard locks, so a production never stalls hits on other
+  /// graphs, and concurrent requests for one graph share one result.
   /// @{
 
   /// Snapshot of the base graph.
@@ -331,12 +316,12 @@ class ViewCatalog {
   size_t snapshot_hits() const {
     return snapshot_hits_.load(std::memory_order_relaxed);
   }
-  /// Snapshots derived from the previous snapshot in O(|delta|).
+  /// Snapshots that reused segments of the previous one.
   size_t snapshot_patches() const {
     return snapshot_patches_.load(std::memory_order_relaxed);
   }
-  /// Snapshots built from scratch (first build, truncated trail,
-  /// rematerialized view, or patching switched off).
+  /// Snapshots built from scratch (first build, rebuilt or published
+  /// view, out-of-band base mutation).
   size_t snapshot_full_builds() const {
     return snapshot_full_builds_.load(std::memory_order_relaxed);
   }
@@ -344,38 +329,31 @@ class ViewCatalog {
 
   /// \name Segment-level patch telemetry.
   ///
-  /// Totals over every snapshot production on either path (the
-  /// single-slot `PatchedFrom` path and, when sharded, the
-  /// `SegmentStore` refreshes): immutable CSR segments rebuilt vs
-  /// shared by refcount with the previous generation, and the bytes
-  /// the rebuilt ones cost. `patch_bytes_copied` growing with the
-  /// delta size while `patch_segments_shared` tracks |V|/segment_size
-  /// is the O(delta) patching claim, measurable in production.
+  /// Totals over every snapshot production, base and views (monotonic:
+  /// dropping a view keeps what its snapshots cost): immutable CSR
+  /// segments written vs shared by refcount with the previous snapshot,
+  /// and the bytes the written ones cost. `patch_bytes_copied` growing
+  /// with the delta size while `patch_segments_shared` tracks
+  /// |V|/segment_size is the O(delta) patching claim, measurable in
+  /// production.
   /// @{
   uint64_t patch_segments_copied() const {
-    uint64_t v = patch_segments_copied_.load(std::memory_order_relaxed);
-    if (store_ != nullptr) v += store_->segments_copied();
-    return v;
+    return patch_segments_copied_.load(std::memory_order_relaxed);
   }
   uint64_t patch_segments_shared() const {
-    uint64_t v = patch_segments_shared_.load(std::memory_order_relaxed);
-    if (store_ != nullptr) v += store_->segments_shared();
-    return v;
+    return patch_segments_shared_.load(std::memory_order_relaxed);
   }
   uint64_t patch_bytes_copied() const {
-    uint64_t v = patch_bytes_copied_.load(std::memory_order_relaxed);
-    if (store_ != nullptr) v += store_->bytes_copied();
-    return v;
+    return patch_bytes_copied_.load(std::memory_order_relaxed);
   }
   /// @}
 
-  /// Configured shard count (1 = unsharded).
-  size_t shards() const { return store_ != nullptr ? store_->shards() : 1; }
+  /// Configured base-graph shard count (1 = unsharded).
+  size_t shards() const { return base_snapshots_.shards(); }
 
-  /// Per-shard writer-lock acquisitions (empty when unsharded).
+  /// Per-shard writer-lock acquisitions of the base snapshot store.
   std::vector<uint64_t> shard_writer_acquisitions() const {
-    return store_ != nullptr ? store_->writer_acquisitions()
-                             : std::vector<uint64_t>{};
+    return base_snapshots_.writer_acquisitions();
   }
 
   /// Installs the fault-injection hook for the sites the catalog owns
@@ -390,64 +368,20 @@ class ViewCatalog {
     return snapshot_build_failures_.load(std::memory_order_relaxed);
   }
 
-  /// True when the base graph's snapshot slot would actually retain a
-  /// delta footprint (a patchable snapshot exists). Lets `ApplyDelta`
-  /// skip materializing the footprint during write-only phases where no
-  /// log would keep it. Passing a null footprint to `ApplyBaseDelta`
-  /// conservatively invalidates the base slot instead of recording.
-  bool WantsBaseDeltaTrail() const;
-
  private:
-  /// Snapshot state for one handle (kInvalidViewHandle = the base
-  /// graph): the last published snapshot plus the delta trail that
-  /// carries it forward to `head_generation`. Guarded by `snapshot_mu_`.
-  ///
-  /// Invariant while `patchable`: the handle's graph changed between
-  /// `csr_generation` and `head_generation` only by (a) appending
-  /// vertices/edges — discovered from id-space growth, no log needed —
-  /// and (b) tombstoning exactly the edges recorded on the trail.
-  /// Mutations the trail cannot describe (rematerialization, arbitrary
-  /// `MutateBaseGraph`, maintenance failures) clear `patchable`, which
-  /// makes the next snapshot request a full rebuild.
-  struct SnapshotSlot {
-    std::shared_ptr<const graph::CsrGraph> csr;
-    uint64_t csr_generation = 0;
-    bool patchable = false;
-    uint64_t head_generation = 0;
-    /// Removal batches recorded since `csr_generation` (bounded; see
-    /// kMaxTrailBatches/kMaxTrailRemovals in catalog.cc).
-    size_t trail_batches = 0;
-    size_t trail_removals = 0;
-    /// Base-graph slot: the applied batches' footprints, shared with
-    /// the engine's pending-delta log (one allocation per batch,
-    /// repo-wide; insert payloads are never pinned).
-    std::vector<graph::DeltaFootprintPtr> base_trail;
-    /// View slots: flattened removed view-edge ids (view inserts are
-    /// discovered from id-space growth and need no log).
-    std::vector<graph::EdgeId> view_removals;
-  };
+  /// Returns `store`'s current snapshot, producing it on a miss (after
+  /// the `kSnapshotBuild` fault site, labelled `what`) and folding the
+  /// production into the telemetry.
+  std::shared_ptr<const graph::CsrGraph> SnapshotOf(const SegmentStore& store,
+                                                    const char* what) const;
 
-  std::shared_ptr<const graph::CsrGraph> SnapshotOf(
-      ViewHandle handle, const graph::PropertyGraph& g) const;
+  void BumpGeneration() {
+    generation_.fetch_add(1, std::memory_order_acq_rel);
+  }
 
-  /// Bumps the generation and advances every patchable slot's trail
-  /// head: a bump whose graph changes are recorded on (or irrelevant
-  /// to) a slot's trail keeps that slot patchable across it.
-  void BumpGeneration();
-
-  /// Records one applied base batch on the base slot's trail (or cuts
-  /// the trail when it would outgrow its caps).
-  void NoteBaseDelta(const graph::DeltaFootprintPtr& footprint);
-
-  /// Records the view edges `handle`'s maintainer tombstoned for one
-  /// batch on that view's trail.
-  void NoteViewDelta(ViewHandle handle,
-                     std::vector<graph::EdgeId> removed_view_edges);
-
-  /// Marks `handle`'s graph as changed in a way the trail cannot
-  /// describe: drops the cached snapshot and trail, forcing the next
-  /// request onto the full-rebuild path.
-  void InvalidateSnapshot(ViewHandle handle);
+  /// Registers a `kBuilding` entry for `definition` with an empty graph
+  /// and its own snapshot store. Caller holds `mu_` exclusively.
+  CatalogEntry* AddEntry(const ViewDefinition& definition);
 
   /// Quarantine with `mu_` already held exclusively.
   void QuarantineLocked(CatalogEntry* entry, Status reason);
@@ -462,7 +396,6 @@ class ViewCatalog {
   bool RefreshBaseStatsIfStale();
 
   const graph::PropertyGraph* base_;
-  const bool snapshot_patching_;
   mutable std::shared_mutex mu_;
   /// unique_ptr: entries are pointer-stable and individually droppable.
   std::vector<std::unique_ptr<CatalogEntry>> entries_;
@@ -473,11 +406,8 @@ class ViewCatalog {
   /// of writers (see `base_stats`).
   graph::GraphStats base_stats_;
   std::vector<std::string> plan_literal_keys_;
-  /// Snapshot cache. Guarded by its own mutex: snapshot builds happen on
-  /// the reader path (under the Engine's shared lock), where `mu_` may
-  /// be held shared by many threads at once.
-  mutable std::mutex snapshot_mu_;
-  mutable std::unordered_map<ViewHandle, SnapshotSlot> snapshots_;
+  /// Snapshot pipeline of the base graph; views own theirs.
+  SegmentStore base_snapshots_;
   mutable std::atomic<size_t> snapshot_builds_{0};
   mutable std::atomic<size_t> snapshot_hits_{0};
   mutable std::atomic<size_t> snapshot_patches_{0};
@@ -486,8 +416,6 @@ class ViewCatalog {
   mutable std::atomic<uint64_t> patch_segments_copied_{0};
   mutable std::atomic<uint64_t> patch_segments_shared_{0};
   mutable std::atomic<uint64_t> patch_bytes_copied_{0};
-  /// Per-shard base-snapshot pipeline; null when `shards == 1`.
-  std::unique_ptr<SegmentStore> store_;
   std::atomic<size_t> quarantine_events_{0};
   /// Fault sites owned by the catalog; no-op unless a hook is installed.
   FaultHooks fault_hooks_;

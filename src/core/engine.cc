@@ -57,7 +57,7 @@ Engine::Engine(graph::PropertyGraph base_graph, EngineOptions options,
                std::optional<DurableBootstrap> bootstrap)
     : base_(std::move(base_graph)),
       options_(options),
-      catalog_(&base_, options.snapshot_patching, options.shards),
+      catalog_(&base_, options.shards),
       planner_(MakePlannerOptions(options)) {
   // The MATCH backends shard their seed scatter on the same boundaries
   // the snapshot pipeline shards on; one knob drives both layers.
@@ -754,9 +754,9 @@ void Engine::RunBuildJob(BuildJob job) {
     for (const PendingDelta& pending : delta_log_) {
       if (pending.base_version <= pinned_version) continue;
       ++logged;
-      inserts += pending.delta->edge_inserts;
-      removals.insert(removals.end(), pending.delta->edge_removals.begin(),
-                      pending.delta->edge_removals.end());
+      inserts += pending.delta.edge_inserts;
+      removals.insert(removals.end(), pending.delta.edge_removals.begin(),
+                      pending.delta.edge_removals.end());
     }
     const bool fully_logged = logged == base_version_ - pinned_version;
     if (fully_logged && ViewMaintainer::SupportsKind(definition.kind) &&
@@ -905,13 +905,10 @@ Status Engine::RefreshViews() {
   return catalog_.RefreshAll();
 }
 
-void Engine::NoteBaseChangedLocked(graph::DeltaFootprintPtr delta) {
+void Engine::NoteBaseChangedLocked(const graph::GraphDelta* delta) {
   // Bound the log under a continuous delta stream: past the cap,
   // dropping entries merely leaves version gaps, which the publish
-  // path's fully-logged check turns into a (correct) rebuild. Entries
-  // are shared pointers to the applied batches' footprints (also held
-  // by the catalog's snapshot trail), so the log's own cost is one
-  // pointer per batch.
+  // path's fully-logged check turns into a (correct) rebuild.
   constexpr size_t kMaxPendingDeltas = 1024;
   ++base_version_;
   bool builds_in_flight;
@@ -924,7 +921,8 @@ void Engine::NoteBaseChangedLocked(graph::DeltaFootprintPtr delta) {
     if (!builds_in_flight) return;
   }
   if (delta != nullptr) {
-    delta_log_.push_back(PendingDelta{base_version_, std::move(delta)});
+    delta_log_.push_back(
+        PendingDelta{base_version_, graph::DeltaFootprint(*delta)});
   }
   // A null delta (MutateBaseGraph) leaves a version gap no log entry
   // covers, which is exactly how in-flight builds learn they must
@@ -967,21 +965,9 @@ Result<DeltaReport> Engine::ApplyDelta(graph::GraphDelta delta) {
   report.edges_removed = applied.removed_edges;
   report.new_vertices = std::move(applied.new_vertices);
   report.new_edges = std::move(applied.new_edges);
-  // One immutable footprint of the applied batch (removal ids + insert
-  // counts; insert payloads were consumed by the application above and
-  // must not be pinned), shared by every log that outlives this call:
-  // the pending-delta log (replay-at-publish for in-flight builds) and
-  // the catalog's snapshot delta trail. Skip materializing it when no
-  // log would keep it (write-only phases: no builds in flight, no
-  // patchable base snapshot) — both consumers treat null safely, the
-  // catalog by conservatively invalidating.
-  graph::DeltaFootprintPtr footprint;
-  if (builds_pending() > 0 || catalog_.WantsBaseDeltaTrail()) {
-    footprint = std::make_shared<const graph::DeltaFootprint>(delta);
-  }
   // The graph has changed even if maintenance fails below — in-flight
   // builds must see the new version either way.
-  NoteBaseChangedLocked(footprint);
+  NoteBaseChangedLocked(&delta);
   durability::WriteAheadLog::AppendToken wal_token;
   bool logged = false;
   if (wal_ != nullptr) {
@@ -995,7 +981,7 @@ Result<DeltaReport> Engine::ApplyDelta(graph::GraphDelta delta) {
   }
   KASKADE_ASSIGN_OR_RETURN(
       DeltaMaintenanceReport maintained,
-      catalog_.ApplyBaseDelta(delta, std::move(footprint)));
+      catalog_.ApplyBaseDelta(delta));
   report.views_incremental = maintained.views_incremental;
   report.views_rematerialized = maintained.views_rematerialized;
   report.maintenance = maintained.stats;

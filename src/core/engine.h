@@ -41,8 +41,8 @@
 /// views, so a half-built view is never planned against.
 ///
 /// MATCH execution runs over the catalog's CSR topology snapshots
-/// (cached per `(handle, generation)`, rebuilt lazily after any
-/// mutation); `options.executor.parallelism` additionally seed-
+/// (cached per graph, patched lazily after a mutation);
+/// `options.executor.parallelism` additionally seed-
 /// partitions each MATCH across worker threads with output identical to
 /// the sequential run.
 ///
@@ -182,25 +182,15 @@ struct EngineOptions {
   /// offline analysis, online advice, and plan choice share one budget
   /// and cost model.
   AdvisorOptions advisor;
-  /// Incremental CSR snapshot production (forwarded to the catalog):
-  /// after `ApplyDelta`, the next query patches the previous topology
-  /// snapshot forward — re-deriving only the rows of vertices the delta
-  /// touched — instead of rebuilding it in O(|V| + |E|). False makes
-  /// every snapshot miss a full rebuild. There is no dirty-fraction
-  /// threshold: on the 60k-vertex social bench graph a patch with half
-  /// of all vertices dirty still ran no slower than a rebuild (1.0-1.2x
-  /// faster across runs of `bench_snapshot_refresh`).
-  bool snapshot_patching = true;
   /// Shard count for the base graph's snapshot pipeline and the MATCH
   /// scatter-gather layer. Vertices hash-partition across shards on
-  /// immutable-segment boundaries (`graph::ShardOfVertex`); with
-  /// `shards >= 2` each shard owns its own snapshot/patch pipeline and
-  /// writer lock (core/segment_store.h), so concurrent snapshot
-  /// refreshes touching disjoint shards no longer serialize, and the
-  /// CSR MATCH backends scatter seeds across shards and gather results
+  /// immutable-segment boundaries (`graph::ShardOfVertex`); each shard
+  /// owns its slice of the snapshot store and a writer lock
+  /// (core/segment_store.h), so concurrent snapshot refreshes touching
+  /// disjoint shards do not serialize, and with `shards >= 2` the CSR
+  /// MATCH backends scatter seeds across shards and gather results
   /// byte-identically to the unsharded table (row order included;
-  /// forwarded to `executor.shards`). 1 (default) keeps today's
-  /// single-slot behavior byte-identical.
+  /// forwarded to `executor.shards`).
   size_t shards = 1;
   /// Worker threads for `ExecuteBatch`; 0 = hardware concurrency.
   size_t batch_workers = 4;
@@ -334,8 +324,8 @@ struct EngineTelemetry {
   uint64_t patch_segments_copied = 0;
   uint64_t patch_segments_shared = 0;
   uint64_t patch_bytes_copied = 0;
-  /// Per-shard snapshot writer-lock acquisitions; empty when
-  /// `EngineOptions::shards == 1`.
+  /// Per-shard base-snapshot writer-lock acquisitions (one entry per
+  /// `EngineOptions::shards`).
   std::vector<uint64_t> shard_writer_acquisitions;
   /// @}
   /// \name Durability (all zero for a volatile engine).
@@ -710,15 +700,12 @@ class Engine {
 
   /// One `ApplyDelta` batch retained while builds are in flight, so a
   /// build pinned before it can replay it at publish time. Holds the
-  /// *same* immutable footprint (removal ids + insert counts — insert
-  /// payloads are never pinned) the catalog's snapshot delta trail
-  /// holds: one allocation per applied batch, however many consumers
-  /// log it (previously each entry copied the batch's full removal
-  /// list).
+  /// batch's footprint (removal ids + insert counts — insert payloads
+  /// are never pinned), captured only while a build is in flight.
   struct PendingDelta {
     /// `base_version_` immediately after the batch applied.
     uint64_t base_version = 0;
-    graph::DeltaFootprintPtr delta;
+    graph::DeltaFootprint delta;
   };
 
   /// One `ExecuteBatch` call's work queue: independent tasks (fused
@@ -791,10 +778,10 @@ class Engine {
   void MaybeAutoAdvise();
 
   /// Caller holds the writer lock. Notes a base-graph change for
-  /// in-flight builds: bumps `base_version_` and either logs the batch
-  /// (replayable) or just invalidates (out-of-band mutation, passed as
-  /// null).
-  void NoteBaseChangedLocked(graph::DeltaFootprintPtr delta);
+  /// in-flight builds: bumps `base_version_` and, while builds are in
+  /// flight, either logs the applied batch's footprint (replayable) or
+  /// just invalidates (out-of-band mutation, passed as null).
+  void NoteBaseChangedLocked(const graph::GraphDelta* delta);
 
   /// `ApplyAdvice` with optional error reservation: when
   /// `reserve_errors` is set, each scheduled handle is reserved (under

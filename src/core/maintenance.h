@@ -155,9 +155,10 @@ class ViewMaintainer {
   /// While set, every *view-graph* edge this maintainer tombstones is
   /// appended to `*sink` (view insertions need no log — view edge ids
   /// are append-only, so consumers discover them from id-space growth).
-  /// The catalog records these as the view's CSR-snapshot delta trail,
-  /// letting `SnapshotFor` patch the previous snapshot forward instead
-  /// of rebuilding it. Null (the default) disables recording.
+  /// The catalog passes these to the view's snapshot store
+  /// (`SegmentStore::NoteDelta`), letting `SnapshotFor` patch the
+  /// previous snapshot instead of rebuilding it. Null (the default)
+  /// disables recording.
   void set_removed_edge_sink(std::vector<graph::EdgeId>* sink) {
     removed_sink_ = sink;
   }

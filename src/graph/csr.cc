@@ -258,96 +258,6 @@ CsrGraph CsrGraph::FromSegments(std::vector<CsrSegmentPtr> segments,
   return csr;
 }
 
-CsrGraph CsrGraph::PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
-                               const std::vector<EdgeId>& removed_edges,
-                               CsrPatchStats* stats_out) {
-  CsrPatchStats local_stats;
-  CsrPatchStats& stats = stats_out != nullptr ? *stats_out : local_stats;
-  stats = CsrPatchStats{};
-  const size_t n_prev = prev.NumVertices();
-  const size_t n = g.NumVertices();
-  const EdgeId first_new = prev.edge_id_space_;
-  const size_t num_segs = CsrSegmentCount(n);
-
-  if (n < n_prev) {
-    // Not a later state of `prev`'s graph: nothing to patch from.
-    stats.full_rebuild = true;
-    CsrGraph built = Build(g);
-    stats.total_segments = built.num_segments();
-    stats.segments_copied = built.num_segments();
-    stats.dirty_vertices = stats.vertices_rederived = n;
-    for (const CsrSegmentPtr& s : built.segments_) {
-      stats.bytes_copied += s->ByteSize();
-    }
-    return built;
-  }
-
-  // Dirty pass: a vertex's slice must be re-derived (and its segment
-  // re-written) when an edge left or entered it since `prev`. Vertices
-  // appended since `prev` live at or past the old tail and are always
-  // re-derived. Tombstoned records stay readable, which is all this
-  // needs — an edge inserted *and* removed within the window
-  // (id >= first_new, now dead) never reached `prev` and is simply
-  // absent from the re-derived rows.
-  std::vector<uint8_t> dirty(n_prev, 0);
-  std::vector<uint8_t> seg_dirty(num_segs, 0);
-  size_t dirty_old = 0;
-  auto mark = [&](VertexId v) {
-    if (static_cast<size_t>(v) < n_prev && dirty[v] == 0) {
-      dirty[v] = 1;
-      ++dirty_old;
-    }
-    const size_t s = CsrSegmentOf(v);
-    if (s < num_segs) seg_dirty[s] = 1;
-  };
-  for (EdgeId e : removed_edges) {
-    if (e >= first_new) continue;  // never made it into `prev`
-    const EdgeRecord& rec = g.Edge(e);
-    mark(rec.source);
-    mark(rec.target);
-  }
-  for (EdgeId e = first_new; e < static_cast<EdgeId>(g.NumEdges()); ++e) {
-    const EdgeRecord& rec = g.Edge(e);
-    mark(rec.source);
-    mark(rec.target);
-  }
-  stats.dirty_vertices = dirty_old + (n - n_prev);
-  // The segment straddling the old vertex-count boundary changes shape
-  // when vertices were appended; segments wholly past it are new.
-  if (n != n_prev && (n_prev >> kCsrSegmentShift) < num_segs) {
-    seg_dirty[n_prev >> kCsrSegmentShift] = 1;
-  }
-
-  CsrGraph csr;
-  csr.num_vertices_ = n;
-  csr.edge_id_space_ = static_cast<EdgeId>(g.NumEdges());
-  csr.segments_.reserve(num_segs);
-  stats.total_segments = num_segs;
-  for (size_t s = 0; s < num_segs; ++s) {
-    if (s < prev.segments_.size() && seg_dirty[s] == 0) {
-      // Clean: share the previous generation's segment by refcount.
-      csr.segments_.push_back(prev.segments_[s]);
-      ++stats.segments_shared;
-    } else {
-      // Dirty: block-copy the clean rows, re-derive the dirty and
-      // appended ones. Segments wholly past the old tail are all new.
-      if (s < prev.segments_.size()) {
-        csr.segments_.push_back(
-            PatchSegment(*prev.segments_[s], g, s,
-                         dirty.data() + (s << kCsrSegmentShift),
-                         &stats.vertices_rederived));
-      } else {
-        csr.segments_.push_back(BuildSegment(g, s));
-        stats.vertices_rederived += csr.segments_.back()->num_vertices;
-      }
-      ++stats.segments_copied;
-      stats.bytes_copied += csr.segments_.back()->ByteSize();
-    }
-    csr.num_edges_ += csr.segments_.back()->out_targets.size();
-  }
-  return csr;
-}
-
 size_t CsrCountReachable(const CsrGraph& g, VertexId source, int max_hops,
                          bool backward) {
   if (source >= g.NumVertices() || max_hops <= 0) return 0;

@@ -23,12 +23,13 @@
 /// **Segmented storage.** The vertex id space is cut into fixed-size
 /// ranges of `kCsrSegmentVertices` ids; each range's slices, lineage and
 /// type directories live in one immutable `CsrSegment` held by
-/// `shared_ptr`. `PatchedFrom` *shares* every clean segment with the
-/// previous generation by refcount and writes a new version of each
-/// segment containing vertices incident to the delta: clean runs of
-/// rows are block-copied from the old version, and only the dirty rows
-/// are re-derived from the graph. Re-derivation is O(dirty vertices),
-/// independent of |E| and of how many segments the delta touches.
+/// `shared_ptr`. The engine's snapshot pipeline (`core::SegmentStore`)
+/// *shares* every clean segment with the previous version by refcount
+/// and writes a new version of each segment containing vertices
+/// incident to a change through `PatchSegment`: clean runs of rows are
+/// block-copied from the old version, and only the dirty rows are
+/// re-derived from the graph. Re-derivation is O(dirty vertices),
+/// independent of |E| and of how many segments the change touches.
 /// `BuildSegment` and `PatchSegment` derive every row through one
 /// per-vertex routine, and a copied row is a row that routine wrote
 /// earlier, so a patched snapshot is bit-identical to a fresh build by
@@ -42,7 +43,6 @@
 #include <memory>
 #include <vector>
 
-#include "graph/delta.h"
 #include "graph/property_graph.h"
 
 namespace kaskade::graph {
@@ -64,8 +64,8 @@ inline size_t CsrSegmentCount(size_t n) {
 
 /// \brief Shard router: vertices map to shards by segment, so one
 /// segment (and everything a patch rebuilds) lives in exactly one
-/// shard. Used by the engine's per-shard snapshot pipelines and the
-/// MATCH scatter-gather layer; `shards == 1` maps everything to 0.
+/// shard. Used by the engine's segment store and the MATCH
+/// scatter-gather layer; `shards == 1` maps everything to 0.
 inline uint32_t ShardOfVertex(VertexId v, size_t shards) {
   return static_cast<uint32_t>(CsrSegmentOf(v) % shards);
 }
@@ -73,19 +73,19 @@ inline uint32_t ShardOfSegment(size_t segment, size_t shards) {
   return static_cast<uint32_t>(segment % shards);
 }
 
-/// \brief What one `PatchedFrom` call did (telemetry for benches/tests).
+/// \brief The segment work behind one snapshot production
+/// (`core::SegmentStore::Snapshot`; telemetry for the catalog, benches
+/// and tests).
 struct CsrPatchStats {
   /// Pre-existing vertices whose out- or in-slice had to be re-derived,
-  /// plus vertices appended since the previous snapshot.
+  /// plus vertices appended since the previous snapshot; every vertex of
+  /// a segment built from scratch.
   size_t dirty_vertices = 0;
-  /// Rows actually re-derived from the graph's adjacency. On the patch
-  /// path this equals `dirty_vertices` — clean rows of dirty segments
-  /// are block-copied — which is the O(dirty vertices) property; a full
-  /// rebuild re-derives every vertex.
+  /// Rows actually re-derived from the graph's adjacency. This equals
+  /// `dirty_vertices` — clean rows of patched segments are block-copied
+  /// — which is the O(dirty vertices) property.
   size_t vertices_rederived = 0;
-  /// Segments written anew (they contained dirty or appended vertices).
-  /// On the full-rebuild path this counts every segment — a rebuild
-  /// copies everything.
+  /// Segments written anew (patched, or built from scratch).
   size_t segments_copied = 0;
   /// Segments shared with the previous snapshot by refcount (zero bytes
   /// copied for them).
@@ -96,10 +96,6 @@ struct CsrPatchStats {
   /// re-derived rows alike (the copy cost of the patch; shared segments
   /// contribute nothing).
   size_t bytes_copied = 0;
-  /// True when `g` had fewer vertices than `prev` (so it cannot be a
-  /// later state of the same graph) and the result came from a full
-  /// `Build` instead of the patch path.
-  bool full_rebuild = false;
 };
 
 /// \brief A contiguous, read-only neighbor slice.
@@ -173,7 +169,7 @@ class CsrGraph {
   /// Builds the single segment `seg` (vertex ids
   /// `[seg << kCsrSegmentShift, ...)`) from `g`'s current adjacency,
   /// deriving every row through the per-vertex slice routine that
-  /// `PatchSegment` also uses. `Build` and the per-shard store's cold
+  /// `PatchSegment` also uses. `Build` and the segment store's cold
   /// path (and segments wholly past a patch's old tail) come through
   /// here.
   static CsrSegmentPtr BuildSegment(const PropertyGraph& g, size_t seg);
@@ -195,59 +191,24 @@ class CsrGraph {
                                     const uint8_t* dirty,
                                     size_t* rederived = nullptr);
 
-  /// Assembles a snapshot from already-built segments (the per-shard
-  /// segment store's publish path). `segments[i]` must cover vertex ids
+  /// Assembles a snapshot from already-built segments (the segment
+  /// store's publish path). `segments[i]` must cover vertex ids
   /// `[i << kCsrSegmentShift, ...)` of a graph with `num_vertices`
   /// vertices and edge id space `edge_id_space`.
   static CsrGraph FromSegments(std::vector<CsrSegmentPtr> segments,
                                size_t num_vertices, EdgeId edge_id_space);
-
-  /// Derives the snapshot of `g` from `prev`, a snapshot of an earlier
-  /// state of the same graph, touching only the *segments* containing
-  /// vertices incident to what changed: `removed_edges` must list
-  /// exactly the edge ids tombstoned in `g` since `prev` was built
-  /// (their records stay readable), and every edge id appended since is
-  /// discovered from the id space (`prev.edge_id_space()` up to
-  /// `g.NumEdges()`), so insertions need no explicit list. Clean
-  /// segments are shared with `prev` by refcount (zero copy). Each dirty
-  /// segment goes through `PatchSegment`: its clean rows are
-  /// block-copied from `prev` and only its dirty and appended rows are
-  /// re-derived from `g`'s adjacency — through the per-vertex routine
-  /// `Build` uses, so the result equals `Build(g)` bit for bit. The
-  /// derivation work is O(dirty vertices) (`stats->vertices_rederived`);
-  /// the copying is bounded by the dirty segments' bytes.
-  ///
-  /// There is no dirty-fraction fallback: with half of all vertices
-  /// dirty a patch still measured no slower than `Build`
-  /// (`bench_snapshot_refresh`'s direct-patch table), since a rebuild
-  /// re-derives every row anyway. Only a `g` with fewer vertices than
-  /// `prev` — not a later state of the same graph — falls back to
-  /// `Build(g)` (reported via `stats->full_rebuild`).
-  static CsrGraph PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
-                              const std::vector<EdgeId>& removed_edges,
-                              CsrPatchStats* stats = nullptr);
-
-  /// As above with the removals taken from one applied `GraphDelta`
-  /// batch (`g` must be the post-delta graph).
-  static CsrGraph PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
-                              const GraphDelta& delta,
-                              CsrPatchStats* stats = nullptr) {
-    return PatchedFrom(prev, g, delta.edge_removals, stats);
-  }
 
   size_t NumVertices() const { return num_vertices_; }
   size_t NumEdges() const { return num_edges_; }
 
   /// The source graph's edge *id space* (`PropertyGraph::NumEdges()`,
   /// dead ids included) when this snapshot was taken. Edge ids at or
-  /// beyond it were inserted after the snapshot — which is how
-  /// `PatchedFrom` discovers insertions, and how the executor's
-  /// staleness tripwire catches balanced insert+remove churn that leaves
-  /// the live count unchanged.
+  /// beyond it were inserted after the snapshot — which is how the
+  /// executor's staleness tripwire catches balanced insert+remove churn
+  /// that leaves the live count unchanged.
   EdgeId edge_id_space() const { return edge_id_space_; }
 
-  /// Segment store introspection (sharing tests, the per-shard store,
-  /// and copy-cost accounting).
+  /// Segment introspection (sharing tests and copy-cost accounting).
   size_t num_segments() const { return segments_.size(); }
   const CsrSegmentPtr& segment(size_t i) const { return segments_[i]; }
 

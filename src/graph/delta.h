@@ -13,7 +13,6 @@
 #ifndef KASKADE_GRAPH_DELTA_H_
 #define KASKADE_GRAPH_DELTA_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,32 +71,21 @@ struct GraphDelta {
   Status Validate(const PropertyGraph& graph) const;
 };
 
-/// \brief What an applied batch leaves behind for the logs that outlive
-/// it: the removal ids (in application order) plus insert *counts*.
-/// Insert payloads are consumed at application time and never read
-/// again — appended elements are rediscovered from id-space growth —
-/// so the logs must not pin them.
-///
-/// One shared, immutable footprint per applied batch is held by both
-/// the engine's pending-delta log (replay-at-publish for in-flight
-/// builds) and the catalog's CSR-snapshot delta trail: the removal
-/// list is materialized once, however many consumers log the batch.
+/// \brief What an applied batch leaves behind for a log that outlives
+/// it (the engine's pending-delta log, replayed onto in-flight builds at
+/// publish time): the removal ids (in application order) plus insert
+/// *counts*. Insert payloads are consumed at application time and never
+/// read again — appended elements are rediscovered from id-space
+/// growth — so the log must not pin them.
 struct DeltaFootprint {
   std::vector<EdgeId> edge_removals;
   size_t edge_inserts = 0;
-  size_t vertex_inserts = 0;
 
-  DeltaFootprint() = default;
-  /// Captures `delta`'s footprint (copies the removal list — the one
-  /// copy every log then shares).
+  /// Captures `delta`'s footprint (copies the removal list).
   explicit DeltaFootprint(const GraphDelta& delta)
       : edge_removals(delta.edge_removals),
-        edge_inserts(delta.edge_inserts.size()),
-        vertex_inserts(delta.vertex_inserts.size()) {}
+        edge_inserts(delta.edge_inserts.size()) {}
 };
-
-/// \brief Shared ownership of one applied batch's footprint.
-using DeltaFootprintPtr = std::shared_ptr<const DeltaFootprint>;
 
 /// \brief Ids allocated while applying a delta.
 struct AppliedDelta {

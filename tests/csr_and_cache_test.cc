@@ -8,6 +8,7 @@
 #include "core/engine.h"
 #include "core/materializer.h"
 #include "core/rewriter.h"
+#include "core/segment_store.h"
 #include "csr_test_util.h"
 #include "datasets/generators.h"
 #include "datasets/workloads.h"
@@ -20,6 +21,7 @@
 namespace kaskade {
 namespace {
 
+using core::SegmentStore;
 using graph::CsrGraph;
 using graph::PropertyGraph;
 using graph::VertexId;
@@ -349,11 +351,10 @@ TEST(SnapshotCacheTest, EngineMatchRunsOverSnapshots) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot patching: a generation miss after ApplyDelta produces the next
+// Snapshot patching: the first request after ApplyDelta produces the next
 // snapshot from the previous one in O(|delta|) (telemetry splits
-// snapshot_builds into snapshot_patches + snapshot_full_builds), with
-// full-rebuild fallbacks when the trail is truncated, the mutation was
-// out of band, or patching is disabled.
+// snapshot_builds into snapshot_patches + snapshot_full_builds), with a
+// full build only after a change no removal list describes.
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotPatchTest, ApplyDeltaPatchesBaseSnapshotForward) {
@@ -407,7 +408,7 @@ TEST(SnapshotPatchTest, ViewSnapshotsPatchThroughMaintainedDeltas) {
   const size_t full_before = catalog.snapshot_full_builds();
 
   // A removal that maintains the view incrementally: the maintainer's
-  // removed-view-edge sink feeds the view's snapshot trail.
+  // removed-view-edge sink feeds the view's snapshot store.
   graph::GraphDelta delta;
   delta.RemoveEdge(0);
   delta.AddEdge(0, static_cast<VertexId>(30), "WRITES_TO", {});
@@ -447,7 +448,7 @@ TEST(SnapshotPatchTest, OutOfBandMutationFallsBackToFullRebuild) {
   ASSERT_NE(catalog.BaseSnapshot(), nullptr);
   const size_t patches_before = catalog.snapshot_patches();
 
-  // MutateBaseGraph bypasses the delta trail entirely.
+  // MutateBaseGraph comes with no removal list.
   ASSERT_TRUE(engine
                   .MutateBaseGraph([](PropertyGraph* g) {
                     return g->AddEdge(0, 30, "WRITES_TO").status();
@@ -458,7 +459,7 @@ TEST(SnapshotPatchTest, OutOfBandMutationFallsBackToFullRebuild) {
   EXPECT_EQ(catalog.snapshot_full_builds(), 2u);
 }
 
-TEST(SnapshotPatchTest, TruncatedTrailFallsBackToFullRebuild) {
+TEST(SnapshotPatchTest, UnreadRemovalBatchesPatchInOneStep) {
   PropertyGraph base = datasets::MakeProvenanceGraph(
       {.num_jobs = 40, .num_files = 80, .include_auxiliary = false});
   core::Engine engine(std::move(base));
@@ -466,40 +467,138 @@ TEST(SnapshotPatchTest, TruncatedTrailFallsBackToFullRebuild) {
   auto warm = catalog.BaseSnapshot();
   ASSERT_NE(warm, nullptr);
 
-  // More removal batches than the trail retains (kMaxTrailBatches = 64
-  // in catalog.cc): the trail is cut and the next snapshot request must
-  // take the full-build path — correct, just not incremental.
+  // Seventy removal batches nobody reads in between: the store keeps a
+  // set of dirty rows, not a history, so there is no cap to outgrow and
+  // the next request is one patch of their union.
   for (int i = 0; i < 70; ++i) {
     graph::GraphDelta delta;
     delta.RemoveEdge(static_cast<graph::EdgeId>(i));
     ASSERT_TRUE(engine.ApplyDelta(std::move(delta)).ok()) << i;
   }
-  ASSERT_NE(catalog.BaseSnapshot(), nullptr);
-  EXPECT_EQ(catalog.snapshot_patches(), 0u);
-  EXPECT_EQ(catalog.snapshot_full_builds(), 2u);
+  auto patched = catalog.BaseSnapshot();
+  ASSERT_NE(patched, nullptr);
+  EXPECT_EQ(catalog.snapshot_patches(), 1u);
+  EXPECT_EQ(catalog.snapshot_full_builds(), 1u);
+  testutil::ExpectSegmentsIdentical(
+      *patched, CsrGraph::Build(engine.base_graph()), "after 70 batches");
 }
 
-TEST(SnapshotPatchTest, DisabledPatchingAlwaysRebuilds) {
+TEST(SnapshotPatchTest, ViewGrownByRefreshPatchesToFreshBuild) {
+  // RefreshViews' catch-up appends to a view without a removal list;
+  // the view's store must see the growth, or the executor's staleness
+  // tripwire fails the next view-served query with Internal.
   PropertyGraph base = datasets::MakeProvenanceGraph(
       {.num_jobs = 30, .num_files = 60, .include_auxiliary = false});
+  core::Engine engine(std::move(base));
+  ASSERT_TRUE(engine.AddMaterializedView(JobConnector(2)).ok());
+  const core::ViewCatalog& catalog = engine.catalog();
+  const core::CatalogEntry* entry = catalog.Find(JobConnector(2).Name());
+  ASSERT_NE(entry, nullptr);
+  const std::string text = datasets::AncestorsQueryText("Job", 4);
+  auto warm = engine.Execute(text);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ASSERT_TRUE(warm->used_view);
+  ASSERT_NE(catalog.SnapshotFor(entry->handle), nullptr);
+  const size_t view_edges = entry->view.graph.NumEdges();
+
+  // Out-of-band appends the maintainer only learns about at refresh:
+  // a Job that writes a File another Job reads adds a 2-hop path.
+  const graph::PropertyGraph& g = engine.base_graph();
+  const graph::VertexTypeId job_t = g.schema().FindVertexType("Job");
+  const graph::VertexTypeId file_t = g.schema().FindVertexType("File");
+  const graph::EdgeTypeId reads_t = g.schema().FindEdgeType("IS_READ_BY");
+  VertexId read_file = graph::kInvalidId;
+  for (VertexId f : g.VerticesOfType(file_t)) {
+    for (graph::EdgeId e : g.OutEdges(f)) {
+      if (g.Edge(e).type == reads_t) read_file = f;
+    }
+    if (read_file != graph::kInvalidId) break;
+  }
+  ASSERT_NE(read_file, graph::kInvalidId);
+  const std::vector<VertexId> jobs = g.VerticesOfType(job_t);
+  ASSERT_TRUE(engine
+                  .MutateBaseGraph([&](PropertyGraph* mut) -> Status {
+                    for (size_t i = 0; i < 5; ++i) {
+                      auto added =
+                          mut->AddEdge(jobs[i], read_file, "WRITES_TO");
+                      if (!added.ok()) return added.status();
+                    }
+                    return Status::OK();
+                  })
+                  .ok());
+  ASSERT_TRUE(engine.RefreshViews().ok());
+  entry = catalog.Find(JobConnector(2).Name());
+  ASSERT_NE(entry, nullptr);
+  ASSERT_GT(entry->view.graph.NumEdges(), view_edges)
+      << "refresh did not grow the view; test premise broken";
+
+  const size_t patches_before = catalog.snapshot_patches();
+  const size_t full_before = catalog.snapshot_full_builds();
+  auto view = catalog.SnapshotFor(entry->handle);
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(catalog.snapshot_patches(), patches_before + 1);
+  EXPECT_EQ(catalog.snapshot_full_builds(), full_before);
+  testutil::ExpectSegmentsIdentical(*view, CsrGraph::Build(entry->view.graph),
+                                    "grown view");
+  auto after = engine.Execute(text);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_TRUE(after->used_view);
+}
+
+TEST(SnapshotPatchTest, ShardedOneSegmentGraphCountsADeltaAsAPatch) {
+  // A graph smaller than one segment: the patch shares nothing, but it
+  // block-copies the segment's clean rows, so it is a patch.
+  PropertyGraph base = datasets::MakeProvenanceGraph(
+      {.num_jobs = 30, .num_files = 60, .include_auxiliary = false});
+  ASSERT_LE(base.NumVertices(), graph::kCsrSegmentVertices);
   core::EngineOptions options;
-  options.snapshot_patching = false;
+  options.shards = 2;
   core::Engine engine(std::move(base), options);
   const core::ViewCatalog& catalog = engine.catalog();
   ASSERT_NE(catalog.BaseSnapshot(), nullptr);
+  EXPECT_EQ(catalog.snapshot_full_builds(), 1u);
 
   graph::GraphDelta delta;
   delta.AddEdge(0, static_cast<VertexId>(30), "WRITES_TO", {});
   ASSERT_TRUE(engine.ApplyDelta(std::move(delta)).ok());
-  ASSERT_NE(catalog.BaseSnapshot(), nullptr);
-  EXPECT_EQ(catalog.snapshot_patches(), 0u);
-  EXPECT_EQ(catalog.snapshot_full_builds(), 2u);
+  auto patched = catalog.BaseSnapshot();
+  ASSERT_NE(patched, nullptr);
+  EXPECT_EQ(catalog.snapshot_patches(), 1u);
+  EXPECT_EQ(catalog.snapshot_full_builds(), 1u);
+  testutil::ExpectSegmentsIdentical(
+      *patched, CsrGraph::Build(engine.base_graph()), "sharded patch");
+}
+
+TEST(SnapshotPatchTest, DroppingAViewNeverLowersPatchCounters) {
+  PropertyGraph base = datasets::MakeProvenanceGraph(
+      {.num_jobs = 30, .num_files = 60, .include_auxiliary = false});
+  core::Engine engine(std::move(base));
+  ASSERT_TRUE(engine.AddMaterializedView(JobConnector(2)).ok());
+  const core::ViewCatalog& catalog = engine.catalog();
+  const core::CatalogEntry* entry = catalog.Find(JobConnector(2).Name());
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(catalog.SnapshotFor(entry->handle), nullptr);
+  graph::GraphDelta delta;
+  delta.RemoveEdge(0);
+  delta.AddEdge(0, static_cast<VertexId>(30), "WRITES_TO", {});
+  ASSERT_TRUE(engine.ApplyDelta(std::move(delta)).ok());
+  ASSERT_NE(catalog.SnapshotFor(entry->handle), nullptr);
+
+  const uint64_t copied = catalog.patch_segments_copied();
+  const uint64_t shared = catalog.patch_segments_shared();
+  const uint64_t bytes = catalog.patch_bytes_copied();
+  ASSERT_GT(copied, 0u);
+  ASSERT_GT(bytes, 0u);
+  ASSERT_TRUE(engine.RemoveView(JobConnector(2).Name()).ok());
+  EXPECT_EQ(catalog.patch_segments_copied(), copied);
+  EXPECT_EQ(catalog.patch_segments_shared(), shared);
+  EXPECT_EQ(catalog.patch_bytes_copied(), bytes);
 }
 
 // ---------------------------------------------------------------------------
-// Immutable-segment sharing: PatchedFrom copies only the segments
-// containing dirty vertices; every clean segment of the new generation
-// is the *same object* (refcount-shared) as the previous generation's.
+// Immutable-segment sharing: the segment store copies only the segments
+// containing dirty vertices; every clean segment of the new snapshot is
+// the *same object* (refcount-shared) as the previous snapshot's.
 // ---------------------------------------------------------------------------
 
 /// First Job with outgoing edges, plus any File (layout-independent —
@@ -521,7 +620,9 @@ TEST(SegmentSharingTest, CleanSegmentsSharedByPointerAcrossGenerations) {
   // > 2 segments so there is something to share.
   PropertyGraph g = datasets::MakeProvenanceGraph(
       {.num_jobs = 800, .num_files = 1500, .num_tasks = 600});
-  CsrGraph prev = CsrGraph::Build(g);
+  SegmentStore store(&g, 1);
+  std::shared_ptr<const CsrGraph> prev_snap = store.Snapshot();
+  const CsrGraph& prev = *prev_snap;
   ASSERT_GE(prev.num_segments(), 3u);
 
   auto [job, file] = PickJobAndFile(g);
@@ -538,10 +639,12 @@ TEST(SegmentSharingTest, CleanSegmentsSharedByPointerAcrossGenerations) {
   auto applied = graph::ApplyDeltaToGraph(&g, delta);
   ASSERT_TRUE(applied.ok()) << applied.status();
 
+  store.NoteDelta(delta.edge_removals);
+  SegmentStore::Outcome outcome;
   graph::CsrPatchStats stats;
-  CsrGraph next =
-      CsrGraph::PatchedFrom(prev, g, delta.edge_removals, &stats);
-  EXPECT_FALSE(stats.full_rebuild);
+  std::shared_ptr<const CsrGraph> next_snap = store.Snapshot(&outcome, &stats);
+  const CsrGraph& next = *next_snap;
+  EXPECT_EQ(outcome, SegmentStore::Outcome::kPatch);
   EXPECT_EQ(stats.total_segments, prev.num_segments());
   EXPECT_EQ(stats.segments_copied, dirty.size());
   EXPECT_EQ(stats.segments_shared, prev.num_segments() - dirty.size());
@@ -569,30 +672,35 @@ TEST(SegmentSharingTest, ChurnKeepsSharingAndStaysExact) {
       {.num_jobs = 800, .num_files = 1500, .num_tasks = 600});
   auto [job, file] = PickJobAndFile(g);
   ASSERT_NE(job, graph::kInvalidId);
-  std::vector<CsrGraph> generations;
-  generations.push_back(CsrGraph::Build(g));
-  size_t shared_total = 0;
-  for (int step = 0; step < 8; ++step) {
-    const CsrGraph& prev = generations.back();
-    graph::GraphDelta delta;
-    delta.AddEdge(job, file, "WRITES_TO", {});
-    delta.RemoveEdge(g.OutEdges(job)[0]);
-    auto applied = graph::ApplyDeltaToGraph(&g, delta);
-    ASSERT_TRUE(applied.ok()) << applied.status();
-    graph::CsrPatchStats stats;
-    generations.push_back(
-        CsrGraph::PatchedFrom(prev, g, delta.edge_removals, &stats));
-    ASSERT_FALSE(stats.full_rebuild) << "step " << step;
-    shared_total += stats.segments_shared;
-    testutil::ExpectCsrEqual(generations.back(), CsrGraph::Build(g), g,
-                             "churn step " + std::to_string(step));
+  std::vector<std::shared_ptr<const CsrGraph>> generations;
+  {
+    // The store holds segments of the latest version only; destroying
+    // it first leaves the generations as their segments' only owners.
+    SegmentStore store(&g, 1);
+    generations.push_back(store.Snapshot());
+    size_t shared_total = 0;
+    for (int step = 0; step < 8; ++step) {
+      graph::GraphDelta delta;
+      delta.AddEdge(job, file, "WRITES_TO", {});
+      delta.RemoveEdge(g.OutEdges(job)[0]);
+      auto applied = graph::ApplyDeltaToGraph(&g, delta);
+      ASSERT_TRUE(applied.ok()) << applied.status();
+      store.NoteDelta(delta.edge_removals);
+      SegmentStore::Outcome outcome;
+      graph::CsrPatchStats stats;
+      generations.push_back(store.Snapshot(&outcome, &stats));
+      ASSERT_EQ(outcome, SegmentStore::Outcome::kPatch) << "step " << step;
+      shared_total += stats.segments_shared;
+      testutil::ExpectCsrEqual(*generations.back(), CsrGraph::Build(g), g,
+                               "churn step " + std::to_string(step));
+    }
+    EXPECT_GT(shared_total, 0u);
   }
-  EXPECT_GT(shared_total, 0u);
   // Dropping old generations must leave the survivors intact (shared
   // segments outlive the generations that created them).
-  CsrGraph last = std::move(generations.back());
+  std::shared_ptr<const CsrGraph> last = generations.back();
   generations.clear();
-  testutil::ExpectCsrEqual(last, CsrGraph::Build(g), g, "after release");
+  testutil::ExpectCsrEqual(*last, CsrGraph::Build(g), g, "after release");
 }
 
 // ---------------------------------------------------------------------------
@@ -697,36 +805,33 @@ PropertyGraph ThreeSegmentProvGraph() {
 TEST(SegmentPatchTest, UniformChurnRederivesOnlyDirtyRowsAtEveryPrefix) {
   PropertyGraph g = ThreeSegmentProvGraph();
   ProvChurn churn(g, 7);
-  CsrGraph prev = CsrGraph::Build(g);
-  ASSERT_GE(prev.num_segments(), 2u);
-  auto apply = [&](const graph::GraphDelta& delta,
-                   std::vector<graph::EdgeId>* window_removals) {
+  SegmentStore store(&g, 1);
+  std::shared_ptr<const CsrGraph> prev = store.Snapshot();
+  ASSERT_GE(prev->num_segments(), 2u);
+  auto apply = [&](const graph::GraphDelta& delta) {
     auto applied = graph::ApplyDeltaToGraph(&g, delta);
     ASSERT_TRUE(applied.ok()) << applied.status();
     churn.Track(applied->new_vertices, applied->new_edges);
-    window_removals->insert(window_removals->end(),
-                            delta.edge_removals.begin(),
-                            delta.edge_removals.end());
+    store.NoteDelta(delta.edge_removals);
   };
   for (int step = 0; step < 10; ++step) {
     const std::string context = "step " + std::to_string(step);
-    // One patch window may span several batches; its removal list is
-    // their concatenation.
-    std::vector<graph::EdgeId> window_removals;
-    apply(churn.Next(), &window_removals);
-    if (step == 2) apply(churn.AppendAcrossBoundary(g), &window_removals);
+    // One patch window may span several batches.
+    apply(churn.Next());
+    if (step == 2) apply(churn.AppendAcrossBoundary(g));
     if (step % 3 == 1) {
       // An edge inserted and removed inside one window never reaches
       // either snapshot.
       graph::GraphDelta removal;
       removal.RemoveEdge(static_cast<graph::EdgeId>(g.NumEdges() - 1));
-      apply(removal, &window_removals);
+      apply(removal);
     }
     if (::testing::Test::HasFatalFailure()) return;
 
+    SegmentStore::Outcome outcome;
     graph::CsrPatchStats stats;
-    CsrGraph next = CsrGraph::PatchedFrom(prev, g, window_removals, &stats);
-    ASSERT_FALSE(stats.full_rebuild) << context;
+    std::shared_ptr<const CsrGraph> next = store.Snapshot(&outcome, &stats);
+    ASSERT_EQ(outcome, SegmentStore::Outcome::kPatch) << context;
     ASSERT_EQ(stats.segments_shared, 0u)
         << context << ": churn left a segment clean; test premise broken";
     // The O(dirty vertices) property, by count: every written segment
@@ -734,11 +839,11 @@ TEST(SegmentPatchTest, UniformChurnRederivesOnlyDirtyRowsAtEveryPrefix) {
     EXPECT_EQ(stats.vertices_rederived, stats.dirty_vertices) << context;
     // ...and most rows were copied, not re-derived.
     EXPECT_LT(stats.dirty_vertices * 2, g.NumVertices()) << context;
-    for (size_t s = 0; s < prev.num_segments(); ++s) {
-      EXPECT_NE(next.segment(s).get(), prev.segment(s).get())
+    for (size_t s = 0; s < prev->num_segments(); ++s) {
+      EXPECT_NE(next->segment(s).get(), prev->segment(s).get())
           << context << " segment " << s;
     }
-    testutil::ExpectSegmentsIdentical(next, CsrGraph::Build(g), context);
+    testutil::ExpectSegmentsIdentical(*next, CsrGraph::Build(g), context);
     if (::testing::Test::HasFatalFailure()) return;
     prev = std::move(next);
   }

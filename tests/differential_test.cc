@@ -26,6 +26,7 @@
 #include "core/engine.h"
 #include "core/maintenance.h"
 #include "core/materializer.h"
+#include "core/segment_store.h"
 #include "csr_test_util.h"
 #include "graph/csr.h"
 #include "graph/delta.h"
@@ -614,9 +615,9 @@ TEST(FusedRunnerTest, GroupMatchesSoloMemberByMember) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot-patching differential: a chain of CsrGraph::PatchedFrom calls
-// following the same randomized mutation sequences must be
-// byte-identical to a from-scratch CsrGraph::Build at every prefix —
+// Snapshot-patching differential: a segment store following the same
+// randomized mutation sequences must produce snapshots byte-identical to
+// a from-scratch CsrGraph::Build at every prefix —
 // typed slices, lineage edge ids, type directories, and sortedness
 // included — while re-deriving exactly the dirty vertices' rows.
 // ---------------------------------------------------------------------------
@@ -627,7 +628,8 @@ TEST_P(DifferentialTest, PatchedSnapshotsMatchFreshBuildsAtEveryPrefix) {
   PropertyGraph g(DeltaSchema());
   SeedGraph(&g, &state);
 
-  graph::CsrGraph patched = graph::CsrGraph::Build(g);
+  core::SegmentStore store(&g, 1);
+  ASSERT_NE(store.Snapshot(), nullptr);
 
   constexpr int kSteps = 60;
   for (int step = 0; step < kSteps; ++step) {
@@ -665,13 +667,16 @@ TEST_P(DifferentialTest, PatchedSnapshotsMatchFreshBuildsAtEveryPrefix) {
     const std::string context = "step " + std::to_string(step) + " (seed " +
                                 std::to_string(seed) +
                                 (skewed ? ", skewed)" : ", uniform)");
+    store.NoteDelta(delta.edge_removals);
+    core::SegmentStore::Outcome outcome;
     graph::CsrPatchStats stats;
-    patched = graph::CsrGraph::PatchedFrom(patched, g, delta, &stats);
-    ASSERT_FALSE(stats.full_rebuild) << context;
+    std::shared_ptr<const graph::CsrGraph> patched =
+        store.Snapshot(&outcome, &stats);
+    ASSERT_EQ(outcome, core::SegmentStore::Outcome::kPatch) << context;
     EXPECT_EQ(stats.vertices_rederived, stats.dirty_vertices) << context;
     const graph::CsrGraph fresh = graph::CsrGraph::Build(g);
-    testutil::ExpectCsrEqual(patched, fresh, g, "patched " + context);
-    testutil::ExpectSegmentsIdentical(patched, fresh, "patched " + context);
+    testutil::ExpectCsrEqual(*patched, fresh, g, "patched " + context);
+    testutil::ExpectSegmentsIdentical(*patched, fresh, "patched " + context);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -680,7 +685,8 @@ TEST(SnapshotPatchTest, DeltaDirtyingMostOfTheGraphStillPatchesExactly) {
   MutationState state(17, /*skew=*/false);
   PropertyGraph g(DeltaSchema());
   SeedGraph(&g, &state);
-  graph::CsrGraph prev = graph::CsrGraph::Build(g);
+  core::SegmentStore store(&g, 1);
+  ASSERT_NE(store.Snapshot(), nullptr);
 
   // A delta touching most of the graph: there is no dirty-fraction
   // fallback, so it still patches — re-deriving every dirty row and
@@ -690,12 +696,15 @@ TEST(SnapshotPatchTest, DeltaDirtyingMostOfTheGraphStillPatchesExactly) {
   auto applied = graph::ApplyDeltaToGraph(&g, big);
   ASSERT_TRUE(applied.ok()) << applied.status();
 
+  store.NoteDelta(big.edge_removals);
+  core::SegmentStore::Outcome outcome;
   graph::CsrPatchStats stats;
-  graph::CsrGraph patched = graph::CsrGraph::PatchedFrom(prev, g, big, &stats);
-  EXPECT_FALSE(stats.full_rebuild);
+  std::shared_ptr<const graph::CsrGraph> patched =
+      store.Snapshot(&outcome, &stats);
+  EXPECT_EQ(outcome, core::SegmentStore::Outcome::kPatch);
   EXPECT_GT(stats.dirty_vertices * 2, g.NumVertices());
   EXPECT_EQ(stats.vertices_rederived, stats.dirty_vertices);
-  testutil::ExpectSegmentsIdentical(patched, graph::CsrGraph::Build(g),
+  testutil::ExpectSegmentsIdentical(*patched, graph::CsrGraph::Build(g),
                                     "patched");
 }
 

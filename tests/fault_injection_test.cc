@@ -86,40 +86,49 @@ FaultHooks FailingHooks(std::shared_ptr<FaultState> state) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjectionTest, SnapshotBuildFaultFallsBackToLegacyBackend) {
-  auto state = std::make_shared<FaultState>();
-  state->site = FaultSite::kSnapshotBuild;
+  // Every snapshot production passes the fault site, whatever the
+  // base graph's shard count.
+  for (size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto state = std::make_shared<FaultState>();
+    state->site = FaultSite::kSnapshotBuild;
 
-  EngineOptions options;
-  options.fault_hooks = FailingHooks(state);
-  Engine subject(FaultProv(), options);
-  Engine oracle(FaultProv());
+    EngineOptions options;
+    options.fault_hooks = FailingHooks(state);
+    options.shards = shards;
+    Engine subject(FaultProv(), options);
+    Engine oracle(FaultProv());
 
-  const std::vector<std::string> texts = {
-      datasets::AncestorsQueryText("Job", 3),
-      datasets::DescendantsQueryText("Job", 2),
-      datasets::AncestorsQueryText("File", 2),
-  };
-  for (const std::string& text : texts) {
-    auto expected = oracle.Execute(text);
-    ASSERT_TRUE(expected.ok()) << expected.status();
-    auto got = subject.Execute(text);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(CanonicalRows(got->table), CanonicalRows(expected->table));
-    // The legacy backend performs no CSR expansions — proof the query
-    // really degraded rather than using a half-built snapshot.
-    EXPECT_EQ(got->expansions, 0u);
+    const std::vector<std::string> texts = {
+        datasets::AncestorsQueryText("Job", 3),
+        datasets::DescendantsQueryText("Job", 2),
+        datasets::AncestorsQueryText("File", 2),
+    };
+    for (const std::string& text : texts) {
+      auto expected = oracle.Execute(text);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      auto got = subject.Execute(text);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(CanonicalRows(got->table), CanonicalRows(expected->table));
+      // The legacy backend performs no CSR expansions — proof the query
+      // really degraded rather than using a half-built snapshot.
+      EXPECT_EQ(got->expansions, 0u);
+    }
+    // Telemetry accounts for every failed production, and for nothing
+    // else.
+    EngineTelemetry telemetry = subject.TelemetrySnapshot();
+    EXPECT_GT(telemetry.snapshot_build_failures, 0u);
+    EXPECT_EQ(telemetry.snapshot_build_failures, state->failed.load());
+    EXPECT_EQ(subject.catalog().snapshot_builds(), 0u);
+    EXPECT_EQ(telemetry.quarantine_events, 0u);
+
+    // Disarm: CSR production recovers without restarting the engine.
+    state->armed.store(false);
+    auto recovered = subject.Execute(texts[0]);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_GT(recovered->expansions, 0u);
+    EXPECT_EQ(subject.catalog().snapshot_builds(), 1u);
   }
-  // Telemetry accounts for every failed production, and for nothing else.
-  EngineTelemetry telemetry = subject.TelemetrySnapshot();
-  EXPECT_GT(telemetry.snapshot_build_failures, 0u);
-  EXPECT_EQ(telemetry.snapshot_build_failures, state->failed.load());
-  EXPECT_EQ(telemetry.quarantine_events, 0u);
-
-  // Disarm: CSR production recovers without restarting the engine.
-  state->armed.store(false);
-  auto recovered = subject.Execute(texts[0]);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_GT(recovered->expansions, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -113,16 +113,39 @@ TEST(DeadlineTest, PreExpiredDeadlineFailsWithDeadlineExceeded) {
 TEST(DeadlineTest, TightDeadlineExpiresMidParallelEvaluationCleanly) {
   EngineOptions options;
   options.executor.parallelism = 4;
-  Engine engine(MediumProv(), options);
+  // `ExecutorOptions::deadline` guards traversal only, so a query that
+  // finishes inside the deadline legitimately returns OK, and one that
+  // reaches the executor after it expires fails at the entry check. On
+  // the 80-job graph the warmed query took ~400 us against a fixed
+  // 200 us deadline and sometimes made it. Here the query takes ~21 ms
+  // (Release, 4-vCPU VM) and the deadline is a twentieth of its measured
+  // traversal time, while reaching the executor takes ~30 us: both scale
+  // alike under sanitizers and load, so the deadline expires
+  // mid-traversal.
+  datasets::ProvOptions prov;
+  prov.num_jobs = 500;
+  prov.num_files = 1000;
+  prov.include_auxiliary = false;
+  prov.seed = 42;
+  Engine engine(datasets::MakeProvenanceGraph(prov), options);
   const std::string text = datasets::AncestorsQueryText("File", 8);
   // Warm the plan cache so the deadline burns inside evaluation, not
-  // planning.
+  // planning. Twice: under default malloc settings the second call
+  // spends ~0.5 ms outside the executor while glibc adapts its mmap
+  // threshold to the ~150k-row results.
   ASSERT_TRUE(engine.Execute(text).ok());
+  auto warm = engine.Execute(text);
+  ASSERT_TRUE(warm.ok());
 
+  const uint64_t checks_before = engine.deadline_checks();
   CallOptions call;
-  call.deadline = steady_clock::now() + std::chrono::microseconds(200);
+  call.deadline =
+      steady_clock::now() +
+      std::chrono::microseconds(static_cast<int64_t>(warm->latency_us / 20));
   auto result = engine.Execute(text, call);
   ASSERT_FALSE(result.ok());
+  // More than the entry check ran: expiry was caught inside traversal.
+  EXPECT_GE(engine.deadline_checks() - checks_before, 2u);
   // The public failure is always kDeadlineExceeded: the sibling-cancel
   // sentinel workers use to stop each other must never escape.
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)

@@ -2,9 +2,10 @@
 // MATCH layer must return tables byte-identical to the unsharded run
 // (row order included) for the solo, parallel, and fused CSR backends
 // across mutation streams; the per-shard SegmentStore snapshot pipeline
-// must stay exact against fresh builds at every prefix; and concurrent
-// snapshot refreshes on disjoint shards interleaved with readers must
-// be race-free (this suite runs under TSan in CI).
+// must stay exact against fresh builds and the one-shard store at every
+// prefix; and concurrent snapshot refreshes on disjoint shards (and of
+// one view) interleaved with readers must be race-free (this suite runs
+// under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -237,7 +238,8 @@ TEST(ShardingTest, SegmentStoreSnapshotMatchesFreshBuildAtEveryPrefix) {
   // first segment, leaving the others to be shared across refreshes.
   std::vector<EdgeId> live;
 
-  uint64_t version = 1;
+  size_t segments_shared = 0;
+  size_t segments_copied = 0;
   constexpr int kSteps = 12;
   for (int step = 0; step < kSteps; ++step) {
     GraphDelta delta =
@@ -246,40 +248,43 @@ TEST(ShardingTest, SegmentStoreSnapshotMatchesFreshBuildAtEveryPrefix) {
     auto applied = graph::ApplyDeltaToGraph(&g, delta);
     ASSERT_TRUE(applied.ok()) << applied.status();
     for (EdgeId e : applied->new_edges) live.push_back(e);
-    store.NoteDelta(std::make_shared<const graph::DeltaFootprint>(delta));
+    store.NoteDelta(delta.edge_removals);
 
     SegmentStore::Outcome outcome;
-    auto snap = store.Snapshot(++version, &outcome);
+    graph::CsrPatchStats stats;
+    auto snap = store.Snapshot(&outcome, &stats);
     ASSERT_NE(snap, nullptr);
     EXPECT_NE(outcome, SegmentStore::Outcome::kHit);
+    segments_shared += stats.segments_shared;
+    segments_copied += stats.segments_copied;
     CsrGraph fresh = CsrGraph::Build(g);
     testutil::ExpectCsrEqual(*snap, fresh, g,
                              "store step " + std::to_string(step));
-    // Version-keyed cache: the same version is a hit returning the
-    // same object.
-    auto again = store.Snapshot(version, &outcome);
+    // Cached until the next change: a second request is a hit returning
+    // the same object.
+    auto again = store.Snapshot(&outcome);
     EXPECT_EQ(again.get(), snap.get());
     EXPECT_EQ(outcome, SegmentStore::Outcome::kHit);
   }
   // O(delta) claim at the store level: across the run most segments
   // were shared, not rebuilt (the graph spans several segments and each
   // batch touches a handful of vertices).
-  EXPECT_GT(store.segments_shared(), store.segments_copied());
+  EXPECT_GT(segments_shared, segments_copied);
   EXPECT_EQ(store.writer_acquisitions().size(), 4u);
 }
 
 // Sharded == unsharded under uniform churn: every batch dirties every
-// segment, and the per-shard store patches them through the same
-// `PatchSegment` routine as the unsharded `PatchedFrom` chain — the two
-// produce byte-identical segments and re-derive the same rows.
+// segment, and a K-shard store patches them through the same
+// `PatchSegment` routine as a one-shard store over the same graph — the
+// two produce byte-identical segments and re-derive the same rows.
 TEST(ShardingTest, SegmentStorePatchesMatchUnshardedChainUnderUniformChurn) {
   for (size_t shards : {2u, 4u}) {
     const std::string where = "shards=" + std::to_string(shards);
     PropertyGraph g = MakeShardableGraph(41);
     SegmentStore store(&g, shards);
-    uint64_t version = 1;
-    ASSERT_NE(store.Snapshot(version), nullptr);
-    CsrGraph chain = CsrGraph::Build(g);
+    SegmentStore unsharded(&g, 1);
+    ASSERT_NE(store.Snapshot(), nullptr);
+    ASSERT_NE(unsharded.Snapshot(), nullptr);
     std::mt19937_64 rng(77 + shards);
     std::vector<EdgeId> live;
     for (EdgeId e = 0; e < static_cast<EdgeId>(g.NumEdges()); ++e) {
@@ -317,20 +322,23 @@ TEST(ShardingTest, SegmentStorePatchesMatchUnshardedChainUnderUniformChurn) {
       for (EdgeId e : applied->new_edges) live.push_back(e);
       for (VertexId v : applied->new_vertices) jobs.push_back(v);
 
-      store.NoteDelta(std::make_shared<const graph::DeltaFootprint>(delta));
-      const uint64_t rederived_before = store.vertices_rederived();
+      store.NoteDelta(delta.edge_removals);
+      unsharded.NoteDelta(delta.edge_removals);
       SegmentStore::Outcome outcome;
-      auto snap = store.Snapshot(++version, &outcome);
+      graph::CsrPatchStats sharded_stats;
+      auto snap = store.Snapshot(&outcome, &sharded_stats);
       ASSERT_NE(snap, nullptr) << context;
+      EXPECT_EQ(outcome, SegmentStore::Outcome::kPatch) << context;
       graph::CsrPatchStats stats;
-      chain = CsrGraph::PatchedFrom(chain, g, delta, &stats);
+      auto chain = unsharded.Snapshot(&outcome, &stats);
+      EXPECT_EQ(outcome, SegmentStore::Outcome::kPatch) << context;
       ASSERT_EQ(stats.segments_shared, 0u)
           << context << ": churn left a segment clean; test premise broken";
-      EXPECT_EQ(store.vertices_rederived() - rederived_before,
-                stats.vertices_rederived)
+      EXPECT_EQ(sharded_stats.vertices_rederived, stats.vertices_rederived)
           << context;
+      EXPECT_EQ(sharded_stats.dirty_vertices, stats.dirty_vertices) << context;
       EXPECT_EQ(stats.vertices_rederived, stats.dirty_vertices) << context;
-      testutil::ExpectSegmentsIdentical(*snap, chain, context);
+      testutil::ExpectSegmentsIdentical(*snap, *chain, context);
       testutil::ExpectSegmentsIdentical(*snap, CsrGraph::Build(g), context);
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -355,15 +363,13 @@ TEST(ShardingTest, ConcurrentShardRefreshesAndReadersAreRaceFree) {
     live.push_back(e);
   }
 
-  uint64_t version = 1;
   for (int round = 0; round < kRounds; ++round) {
     // Mutation phase (exclusive, as under the engine writer lock).
     GraphDelta delta = RandomBatch(g, &rng, &live);
     auto applied = graph::ApplyDeltaToGraph(&g, delta);
     ASSERT_TRUE(applied.ok()) << applied.status();
     for (EdgeId e : applied->new_edges) live.push_back(e);
-    store.NoteDelta(std::make_shared<const graph::DeltaFootprint>(delta));
-    ++version;
+    store.NoteDelta(delta.edge_removals);
 
     // Reader phase: several threads race to refresh the stale shards —
     // each shard's writer lock arbitrates — and each takes a full
@@ -374,7 +380,7 @@ TEST(ShardingTest, ConcurrentShardRefreshesAndReadersAreRaceFree) {
     readers.reserve(kReaders);
     for (size_t t = 0; t < kReaders; ++t) {
       readers.emplace_back(
-          [&store, &snaps, t, version] { snaps[t] = store.Snapshot(version); });
+          [&store, &snaps, t] { snaps[t] = store.Snapshot(); });
     }
     for (std::thread& t : readers) t.join();
 
@@ -386,6 +392,58 @@ TEST(ShardingTest, ConcurrentShardRefreshesAndReadersAreRaceFree) {
     }
     testutil::ExpectCsrEqual(*snaps[0], fresh, g,
                              "round " + std::to_string(round));
+  }
+}
+
+// A view's snapshots come from its own one-shard store, reached through
+// that store's shard and cache locks: after each maintained batch, four
+// readers racing SnapshotFor on the view all get one snapshot, equal to
+// a fresh build of the view graph.
+TEST(ShardingTest, ConcurrentViewSnapshotReadersShareOnePatchedSnapshot) {
+  Engine engine(MakeShardableGraph(53));
+  core::ViewDefinition connector;
+  connector.kind = core::ViewKind::kKHopConnector;
+  connector.k = 2;
+  connector.source_type = "Job";
+  connector.target_type = "Job";
+  ASSERT_TRUE(engine.AddMaterializedView(connector).ok());
+  const core::CatalogEntry* entry = engine.catalog().Find(connector.Name());
+  ASSERT_NE(entry, nullptr);
+  const core::ViewHandle handle = entry->handle;
+  ASSERT_NE(engine.catalog().SnapshotFor(handle), nullptr);
+  std::mt19937_64 rng(19);
+  std::vector<EdgeId> live;
+  for (EdgeId e = 0; e < static_cast<EdgeId>(engine.base_graph().NumEdges());
+       ++e) {
+    live.push_back(e);
+  }
+
+  for (int round = 0; round < 12; ++round) {
+    const std::string context = "round " + std::to_string(round);
+    auto report =
+        engine.ApplyDelta(RandomBatch(engine.base_graph(), &rng, &live));
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_EQ(report->views_incremental, 1u)
+        << context << ": view rematerialized; test premise broken";
+    for (EdgeId e : report->new_edges) live.push_back(e);
+
+    constexpr size_t kReaders = 4;
+    std::vector<std::shared_ptr<const CsrGraph>> snaps(kReaders);
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&engine, &snaps, handle, t] {
+        snaps[t] = engine.catalog().SnapshotFor(handle);
+      });
+    }
+    for (std::thread& t : readers) t.join();
+    for (size_t t = 0; t < kReaders; ++t) {
+      ASSERT_NE(snaps[t], nullptr) << context << " reader " << t;
+      EXPECT_EQ(snaps[t].get(), snaps[0].get()) << context << " reader " << t;
+    }
+    const graph::PropertyGraph& view = engine.catalog().Get(handle)->view.graph;
+    testutil::ExpectSegmentsIdentical(*snaps[0], CsrGraph::Build(view),
+                                      context);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
