@@ -267,8 +267,9 @@ class MatchEvaluator {
 
 /// \brief One backtracking worker over a CSR snapshot: owns the binding,
 /// the traversal primitives (epoch-stamped visited arrays), the per-step
-/// candidate buffers, and its (partial) distinct-row set. Inner loops
-/// allocate nothing after warmup.
+/// candidate buffers, and its (partial) row set, which hashes rows only
+/// when the plan can repeat one (`ResolvedMatch::rows_distinct`). Inner
+/// loops allocate nothing after warmup.
 class CsrMatchRunner {
  public:
   /// `deadline` (time_point{} = none) and `abort` feed the runner's
@@ -284,7 +285,7 @@ class CsrMatchRunner {
         max_rows_(max_rows),
         guard_(deadline, abort),
         traversal_(csr),
-        rows_(rm.return_slots.size()) {
+        rows_(rm.return_slots.size(), /*deduplicate=*/!rm.rows_distinct) {
     binding_.assign(rm.pattern.nodes.size(), graph::kInvalidId);
     scratch_.resize(rm.plan.size());
     row_buf_.assign(std::max<size_t>(1, rm.return_slots.size()), 0);
@@ -403,10 +404,11 @@ class CsrMatchRunner {
 
     if (!edge.variable_length && step_index + 1 == rm_.plan.size()) {
       // Fused final expansion: the recursion below this step is just
-      // EmitRow, and the row set already deduplicates, so duplicate
-      // neighbors (parallel edges) need no expansion-level dedup —
-      // iterate the typed slice directly, no gather, no buffers.
-      // First-occurrence emission order is unchanged.
+      // EmitRow, and the row set deduplicates (a plan ending here is
+      // never `rows_distinct`), so duplicate neighbors (parallel edges)
+      // need no expansion-level dedup — iterate the typed slice
+      // directly, no gather, no buffers. First-occurrence emission order
+      // is unchanged.
       EdgeSpan span = forward ? csr_.TypedOutEdges(anchor, edge.type)
                               : csr_.TypedInEdges(anchor, edge.type);
       Status st = Status::OK();
@@ -477,7 +479,9 @@ struct MatchRows {
 /// first-occurrence dedup. Workers claim blocks in increasing order, so
 /// a worker-local duplicate is always preceded by its first occurrence
 /// in an earlier block — the merged table is therefore identical to the
-/// sequential table, row order included.
+/// sequential table, row order included. When the top seed's slot is
+/// returned (`ResolvedMatch::seeds_disjoint`), no row of one block can
+/// recur in another, so the merge concatenates the block ranges.
 class CsrMatchEvaluator {
  public:
   CsrMatchEvaluator(const PropertyGraph& graph, const CsrGraph& csr,
@@ -537,7 +541,9 @@ class CsrMatchEvaluator {
   /// runner), so k's span contains it, and the seed-order gather meets
   /// it first at k — exactly where the sequential run first emits it.
   /// Workers claim whole shards off an atomic counter (cross-shard
-  /// parallelism); `workers == 1` runs the shards inline.
+  /// parallelism); `workers == 1` runs the shards inline. With
+  /// `seeds_disjoint` no two seeds share a row, and the gather
+  /// concatenates the spans.
   Result<MatchRows> RunSharded(ResolvedMatch* rm,
                            const std::vector<VertexId>& seeds, size_t workers,
                            ExecutionTiming* stats) const {
@@ -616,17 +622,17 @@ class CsrMatchEvaluator {
     }
 
     // Gather in original seed order with global first-occurrence dedup.
-    RowSet merged(rm->return_slots.size());
+    RowSet merged(rm->return_slots.size(),
+                  /*deduplicate=*/!rm->seeds_disjoint);
     for (size_t i = 0; i < seeds.size(); ++i) {
       const SeedSpan& sp = spans[i];
       if (runners[sp.shard] == nullptr) {
         return Status::Internal("unprocessed shard without an error");
       }
-      const RowSet& rows = runners[sp.shard]->rows();
-      for (size_t r = sp.begin_row; r < sp.end_row; ++r) {
-        if (merged.Insert(rows.row(r)) && merged.size() > options_.max_rows) {
-          return Status::ResourceExhausted("MATCH row limit exceeded");
-        }
+      merged.InsertRange(runners[sp.shard]->rows(), sp.begin_row,
+                         sp.end_row);
+      if (merged.size() > options_.max_rows) {
+        return Status::ResourceExhausted("MATCH row limit exceeded");
       }
     }
     return MatchRows{std::move(rm->columns), std::move(merged)};
@@ -694,17 +700,17 @@ class CsrMatchEvaluator {
     }
 
     // Deterministic merge: block order + global first-occurrence dedup.
-    RowSet merged(rm->return_slots.size());
+    RowSet merged(rm->return_slots.size(),
+                  /*deduplicate=*/!rm->seeds_disjoint);
     for (size_t b = 0; b < num_blocks; ++b) {
       const BlockRange& br = blocks[b];
       if (br.worker == kUnclaimed) {
         return Status::Internal("unprocessed seed block without an error");
       }
-      const RowSet& rows = runners[br.worker]->rows();
-      for (size_t r = br.begin_row; r < br.end_row; ++r) {
-        if (merged.Insert(rows.row(r)) && merged.size() > options_.max_rows) {
-          return Status::ResourceExhausted("MATCH row limit exceeded");
-        }
+      merged.InsertRange(runners[br.worker]->rows(), br.begin_row,
+                         br.end_row);
+      if (merged.size() > options_.max_rows) {
+        return Status::ResourceExhausted("MATCH row limit exceeded");
       }
     }
     return MatchRows{std::move(rm->columns), std::move(merged)};

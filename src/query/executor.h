@@ -32,6 +32,14 @@
 /// rows of the returned variables. This is the semantics under which the
 /// paper's raw-vs-connector rewrites return identical results (§VII-C
 /// "These rewritings are equivalent and produce the same results").
+/// The CSR backend hashes a row only when the plan could emit it twice.
+/// When every pattern variable is returned and the plan does not end in
+/// a fixed-length expansion (which walks parallel edges as they are),
+/// each row is a whole binding and no two are equal, so rows are
+/// appended as they come. When the top seed's variable is returned, the
+/// parallel and sharded merges concatenate their per-block or per-seed
+/// row ranges, since rows of different seeds differ in that column.
+/// EXPLAIN's `rows:` line says which case a MATCH is in.
 ///
 /// Two MATCH backends share one resolver and planner:
 ///

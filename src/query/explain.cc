@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/string_util.h"
+#include "query/match_common.h"
 
 namespace kaskade::query {
 
@@ -61,6 +62,15 @@ void ExplainMatch(const MatchQuery& match, const graph::PropertyGraph& graph,
   if (!match.where.empty()) {
     *out += indent + "  filter: " + std::to_string(match.where.size()) +
             " condition(s)\n";
+  }
+  // Whether the CSR runners hash each row, from the plan the executor
+  // builds for this graph. An unresolvable pattern gets no line.
+  Result<internal::ResolvedMatch> resolved =
+      internal::ResolveMatch(graph, match);
+  if (resolved.ok()) {
+    *out += indent + (resolved->rows_distinct
+                          ? "  rows: distinct by construction\n"
+                          : "  rows: hash-deduplicated\n");
   }
 }
 

@@ -27,8 +27,13 @@ namespace kaskade::query {
 ///     expand -[:WRITES_TO]-> (q_f1:File)              x2.0
 ///     expand -[*0..8]-> (q_f2:File)                   8 graph sweeps
 ///     expand -[:IS_READ_BY]-> (q_j2:Job)              x1.0
+///     rows: hash-deduplicated
 ///   estimated cost: 3.9e+08
 /// ```
+///
+/// The `rows:` line says whether the CSR runners hash each MATCH row to
+/// drop repeats (`hash-deduplicated`) or append rows the plan cannot
+/// repeat (`distinct by construction`).
 std::string ExplainQuery(const Query& query, const graph::PropertyGraph& graph,
                          const graph::GraphStats& stats,
                          const CostModelOptions& options = {});

@@ -74,7 +74,8 @@ class FusedMatchRunner {
     member_errors_.assign(num_members, Status::OK());
     member_rows_.reserve(num_members);
     for (size_t m = 0; m < num_members; ++m) {
-      member_rows_.emplace_back(rm.return_slots.size());
+      member_rows_.emplace_back(rm.return_slots.size(),
+                                /*deduplicate=*/!rm.rows_distinct);
     }
   }
 
@@ -163,7 +164,8 @@ class FusedMatchRunner {
   /// content is shared (bindings are group-wide); distinctness and the
   /// row limit are per member — a member past `max_rows_` fails with
   /// the same error its solo run would raise at the same insertion, and
-  /// its bit leaves the traversal.
+  /// its bit leaves the traversal. A member's row set hashes the row
+  /// only when the plan can repeat one, as the solo runner's does.
   void EmitRows(const uint64_t* mask) {
     const size_t width = rm_.return_slots.size();
     for (size_t k = 0; k < width; ++k) {
@@ -420,9 +422,10 @@ std::vector<Result<Table>> ExecuteFusedMatch(
     // each shard runs its own shared walk over its seeds (one fused
     // traversal per shard), recording the row span every seed produced
     // per member; the gather replays each member's spans in original
-    // seed order with global first-occurrence dedup, so every member's
-    // table is byte-identical to the unsharded fused run — which is
-    // itself byte-identical to the member's solo run.
+    // seed order with global first-occurrence dedup (a concatenation
+    // when `seeds_disjoint`), so every member's table is byte-identical
+    // to the unsharded fused run — which is itself byte-identical to the
+    // member's solo run.
     const size_t num_shards = options.shards;
     const ResolvedPattern::Node& n0 =
         rm->pattern.nodes[static_cast<size_t>(rm->plan[0].node_slot)];
@@ -508,21 +511,16 @@ std::vector<Result<Table>> ExecuteFusedMatch(
                 [](const MemberSpan& a, const MemberSpan& b) {
                   return a.seed < b.seed;
                 });
-      RowSet merged(width);
-      Status merge_status = Status::OK();
+      RowSet merged(width, /*deduplicate=*/!rm->seeds_disjoint);
+      bool over_limit = false;
       for (const MemberSpan& sp : member_spans[m]) {
-        const RowSet& rows = runners[sp.shard]->rows_of(m);
-        for (size_t r = sp.begin; r < sp.end; ++r) {
-          if (merged.Insert(rows.row(r)) && merged.size() > options.max_rows) {
-            merge_status =
-                Status::ResourceExhausted("MATCH row limit exceeded");
-            break;
-          }
-        }
-        if (!merge_status.ok()) break;
+        merged.InsertRange(runners[sp.shard]->rows_of(m), sp.begin, sp.end);
+        over_limit = merged.size() > options.max_rows;
+        if (over_limit) break;
       }
-      if (!merge_status.ok()) {
-        results.push_back(merge_status);
+      if (over_limit) {
+        results.push_back(
+            Status::ResourceExhausted("MATCH row limit exceeded"));
         continue;
       }
       results.push_back(internal::RowSetToTable(rm->columns, merged));

@@ -145,6 +145,31 @@ std::vector<Step> PlanMatchOrder(const PropertyGraph& graph,
   return plan;
 }
 
+namespace {
+
+/// True when the plan's last step expands a fixed-length edge: the CSR
+/// runners then emit straight from the typed slice, where parallel edges
+/// repeat a neighbor. Replays which slots each step binds; an edge step
+/// with both endpoints bound is a filter and binds nothing.
+bool EndsInFixedExpansion(const ResolvedMatch& rm) {
+  std::vector<bool> bound(rm.pattern.nodes.size(), false);
+  for (size_t i = 0; i < rm.plan.size(); ++i) {
+    const Step& step = rm.plan[i];
+    if (step.kind == Step::kSeed) {
+      bound[step.node_slot] = true;
+      continue;
+    }
+    const ResolvedPattern::Edge& edge = rm.pattern.edges[step.edge_index];
+    const bool expands = !bound[edge.from] || !bound[edge.to];
+    bound[edge.from] = true;
+    bound[edge.to] = true;
+    if (i + 1 == rm.plan.size()) return expands && !edge.variable_length;
+  }
+  return false;
+}
+
+}  // namespace
+
 Result<ResolvedMatch> ResolveMatch(const PropertyGraph& graph,
                                    const MatchQuery& match) {
   ResolvedMatch rm;
@@ -159,6 +184,13 @@ Result<ResolvedMatch> ResolveMatch(const PropertyGraph& graph,
     rm.return_slots.push_back(slot);
     rm.columns.push_back(Column{item.OutputName(), /*is_vertex=*/true});
   }
+  std::vector<bool> returned(rm.pattern.nodes.size(), false);
+  for (int slot : rm.return_slots) returned[slot] = true;
+  const bool all_returned =
+      std::find(returned.begin(), returned.end(), false) == returned.end();
+  rm.seeds_disjoint = !rm.plan.empty() && returned[rm.plan[0].node_slot];
+  rm.rows_distinct =
+      !rm.plan.empty() && all_returned && !EndsInFixedExpansion(rm);
   return rm;
 }
 
@@ -217,23 +249,33 @@ void CsrTraversal::VarLengthTargets(VertexId start, EdgeTypeId type,
   }
   s->cur.clear();
   s->cur.push_back(start);
+  const bool one_visited_set = min_hops <= 1;
   for (int depth = 1; depth <= max_hops && !s->cur.empty(); ++depth) {
     s->next.clear();
-    const uint32_t level_epoch = NextMark();
+    // One visited set: `result_mark_` holds every vertex reached so far,
+    // and a level holds exactly the targets first reached at its depth.
+    // Otherwise each level marks its own vertices on `mark_`.
+    const uint32_t epoch = one_visited_set ? result_epoch : NextMark();
+    std::vector<uint32_t>& marks = one_visited_set ? result_mark_ : mark_;
     for (VertexId v : s->cur) {
       EdgeSpan span = backward ? csr_.TypedInEdges(v, type)
                                : csr_.TypedOutEdges(v, type);
       if (guard_ != nullptr && guard_->Charge(span.size + 1)) return;
       for (size_t i = 0; i < span.size; ++i) {
         VertexId next = span.vertices[i];
-        if (mark_[next] == level_epoch) continue;
-        mark_[next] = level_epoch;
+        if (marks[next] == epoch) continue;
+        marks[next] = epoch;
         s->next.push_back(next);
-        if (depth >= min_hops && result_mark_[next] != result_epoch) {
+        if (!one_visited_set && depth >= min_hops &&
+            result_mark_[next] != result_epoch) {
           result_mark_[next] = result_epoch;
           s->candidates.push_back(next);
         }
       }
+    }
+    if (one_visited_set) {
+      s->candidates.insert(s->candidates.end(), s->next.begin(),
+                           s->next.end());
     }
     std::swap(s->cur, s->next);
   }
@@ -243,18 +285,21 @@ bool CsrTraversal::VarLengthConnected(VertexId start, VertexId end,
                                       EdgeTypeId type, int min_hops,
                                       int max_hops, StepScratch* s) {
   if (min_hops == 0 && start == end) return true;
+  const bool one_visited_set = min_hops <= 1;
+  const uint32_t visited_epoch = one_visited_set ? NextResultMark() : 0;
   s->cur.clear();
   s->cur.push_back(start);
   for (int depth = 1; depth <= max_hops && !s->cur.empty(); ++depth) {
     s->next.clear();
-    const uint32_t level_epoch = NextMark();
+    const uint32_t epoch = one_visited_set ? visited_epoch : NextMark();
+    std::vector<uint32_t>& marks = one_visited_set ? result_mark_ : mark_;
     for (VertexId v : s->cur) {
       EdgeSpan span = csr_.TypedOutEdges(v, type);
       if (guard_ != nullptr && guard_->Charge(span.size + 1)) return false;
       for (size_t i = 0; i < span.size; ++i) {
         VertexId next = span.vertices[i];
-        if (mark_[next] == level_epoch) continue;
-        mark_[next] = level_epoch;
+        if (marks[next] == epoch) continue;
+        marks[next] = epoch;
         if (depth >= min_hops && next == end) return true;
         s->next.push_back(next);
       }

@@ -2,8 +2,8 @@
 /// \brief Internal MATCH machinery shared by the per-query executor
 /// (`query/executor.cc`) and the fused batch runner
 /// (`query/fused_runner.cc`): pattern resolution, plan ordering, the
-/// per-candidate acceptance check, the allocation-free distinct-row
-/// sink, and the CSR traversal primitives (typed-slice gathers,
+/// per-candidate acceptance check, the allocation-free row sink, and
+/// the CSR traversal primitives (typed-slice gathers,
 /// variable-length BFS, filter-edge probes) with their epoch-stamped
 /// visited arrays.
 ///
@@ -183,12 +183,25 @@ struct Step {
 };
 
 /// Everything a backend needs to evaluate one MATCH: the resolved
-/// pattern, the step plan, and the projection.
+/// pattern, the step plan, the projection, and what the plan guarantees
+/// about the rows it emits.
 struct ResolvedMatch {
   ResolvedPattern pattern;
   std::vector<Step> plan;
   std::vector<int> return_slots;
   std::vector<Column> columns;
+  /// No row can be emitted twice, so the CSR runners append rows without
+  /// hashing them. Holds when every node slot is returned (a row is then
+  /// the whole binding) and no step repeats a candidate: seeds, gathers
+  /// and variable-length expansions enumerate distinct vertices, but the
+  /// fused final fixed-length expansion walks the raw typed slice, where
+  /// parallel edges repeat a neighbor.
+  bool rows_distinct = false;
+  /// The top seed's slot is returned, so rows of different top seeds
+  /// differ in that column: the parallel and sharded merges concatenate
+  /// their per-block or per-seed row ranges instead of deduplicating
+  /// across them.
+  bool seeds_disjoint = false;
 };
 
 Status ResolvePattern(const graph::PropertyGraph& graph,
@@ -211,20 +224,30 @@ bool NodeAccepts(const graph::PropertyGraph& graph,
                  const ResolvedPattern& pattern, size_t slot,
                  graph::VertexId v);
 
-/// \brief Distinct-row sink: flat integer row storage plus an
-/// open-addressed index set keyed by row contents. No string keys, no
-/// per-row allocation (amortized). Rows are kept in insertion order.
+/// \brief Row sink: flat integer row storage, kept in insertion order.
+/// A deduplicating set also keeps an open-addressed index keyed by row
+/// contents and drops repeated rows; one built with `deduplicate` false
+/// is for rows the plan cannot repeat (`ResolvedMatch::rows_distinct`,
+/// `seeds_disjoint`) and only appends. No string keys, no per-row
+/// allocation (amortized).
 class RowSet {
  public:
-  explicit RowSet(size_t width) : width_(width == 0 ? 1 : width) {}
+  RowSet(size_t width, bool deduplicate)
+      : width_(width == 0 ? 1 : width), deduplicate_(deduplicate) {}
 
   size_t size() const { return num_rows_; }
   const graph::VertexId* row(size_t i) const {
     return data_.data() + i * width_;
   }
 
-  /// Inserts a row of `width` vertex ids; returns true when it is new.
+  /// Inserts a row of `width` vertex ids; returns true when it is new
+  /// (always, when the set does not deduplicate).
   bool Insert(const graph::VertexId* row) {
+    if (!deduplicate_) {
+      data_.insert(data_.end(), row, row + width_);
+      ++num_rows_;
+      return true;
+    }
     if ((num_rows_ + 1) * 10 >= slots_.size() * 7) Grow();
     const size_t mask = slots_.size() - 1;
     size_t i = HashRow(row) & mask;
@@ -239,6 +262,18 @@ class RowSet {
     ++num_rows_;
     slots_[i] = num_rows_;  // row index + 1; 0 marks an empty slot
     return true;
+  }
+
+  /// Inserts rows [begin, end) of `other`, in order: one copy when the
+  /// set does not deduplicate.
+  void InsertRange(const RowSet& other, size_t begin, size_t end) {
+    if (begin == end) return;
+    if (!deduplicate_) {
+      data_.insert(data_.end(), other.row(begin), other.row(end));
+      num_rows_ += end - begin;
+      return;
+    }
+    for (size_t r = begin; r < end; ++r) Insert(other.row(r));
   }
 
  private:
@@ -266,8 +301,9 @@ class RowSet {
   }
 
   size_t width_;
-  std::vector<graph::VertexId> data_;  ///< Distinct rows, flat, in order.
-  std::vector<uint64_t> slots_;        ///< Open-addressed row-index set.
+  bool deduplicate_;
+  std::vector<graph::VertexId> data_;  ///< Rows, flat, in order.
+  std::vector<uint64_t> slots_;  ///< Open-addressed row-index set.
   size_t num_rows_ = 0;
 };
 
@@ -311,15 +347,25 @@ class CsrTraversal {
 
   /// Variable-length targets as a frontier BFS over typed CSR slices:
   /// vertices at some depth in [min_hops, max_hops] from `start`, into
-  /// `s->candidates`. Per-level dedup on `mark_`, whole-call result
-  /// dedup on `result_mark_` — same (vertex, depth) semantics as the
-  /// legacy evaluator.
+  /// `s->candidates` — the same (vertex, depth) semantics and the same
+  /// order as the legacy evaluator's per-level BFS.
+  ///
+  /// With `min_hops <= 1` every vertex within `max_hops` has its
+  /// shortest distance inside the hop window, so one visited set
+  /// (`result_mark_`) serves every level and each vertex is expanded
+  /// once. The start vertex stays unmarked at `min_hops == 1`, so a
+  /// cycle back to it still makes it a target. A target is first met at
+  /// its shortest distance, from a vertex at the level before, so the
+  /// order matches the per-level walk. With `min_hops >= 2` a vertex may
+  /// count only at a longer walk than its shortest, so each level keeps
+  /// its own marks (`mark_`) and `result_mark_` dedups the result.
   void VarLengthTargets(graph::VertexId start, graph::EdgeTypeId type,
                         int min_hops, int max_hops, bool backward,
                         StepScratch* s);
 
   /// True if some path start->...->end with length in [min,max] exists;
-  /// stops the BFS the moment `end` enters the hop window.
+  /// stops the BFS the moment `end` enters the hop window. One visited
+  /// set across levels when `min_hops <= 1`, as in `VarLengthTargets`.
   bool VarLengthConnected(graph::VertexId start, graph::VertexId end,
                           graph::EdgeTypeId type, int min_hops, int max_hops,
                           StepScratch* s);
@@ -343,8 +389,8 @@ class CsrTraversal {
     return mark_epoch_;
   }
 
-  /// Fresh epoch for `result_mark_` (whole-BFS result dedup; lives
-  /// across the per-level epochs of one variable-length expansion).
+  /// Fresh epoch for `result_mark_` (whole-BFS result dedup or visited
+  /// set; lives across the levels of one variable-length expansion).
   uint32_t NextResultMark() {
     if (++result_epoch_ == 0) {
       std::fill(result_mark_.begin(), result_mark_.end(), 0u);

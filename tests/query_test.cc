@@ -19,6 +19,8 @@
 #include "query/ast.h"
 #include "query/cost.h"
 #include "query/executor.h"
+#include "query/explain.h"
+#include "query/match_common.h"
 #include "query/parser.h"
 #include "table_test_util.h"
 
@@ -802,6 +804,247 @@ TEST_F(ExecutorTest, SelectLayerAddsSmallOverhead) {
   double co = EstimateEvalCost(*outer, g_, stats);
   EXPECT_GT(co, ci);
   EXPECT_LT(co, ci * 2);
+}
+
+// ---------------------------------------------------------------------------
+// CSR traversal primitives against a per-level reference BFS
+// ---------------------------------------------------------------------------
+
+/// Per-level reference for `VarLengthTargets`: each level deduplicates
+/// on its own, so a vertex recurs at every depth a walk reaches it, and a
+/// vertex becomes a target the first time it is met at a depth in
+/// [min_hops, max_hops]. Walks the same typed CSR slices, so the order
+/// is comparable.
+std::vector<VertexId> ReferenceTargets(const CsrGraph& csr, VertexId start,
+                                       graph::EdgeTypeId type, int min_hops,
+                                       int max_hops, bool backward) {
+  std::vector<VertexId> targets;
+  std::set<VertexId> is_target;
+  if (min_hops == 0) {
+    targets.push_back(start);
+    is_target.insert(start);
+  }
+  std::vector<VertexId> level = {start};
+  for (int depth = 1; depth <= max_hops && !level.empty(); ++depth) {
+    std::vector<VertexId> next;
+    std::set<VertexId> seen;
+    for (VertexId v : level) {
+      graph::EdgeSpan span =
+          backward ? csr.TypedInEdges(v, type) : csr.TypedOutEdges(v, type);
+      for (size_t i = 0; i < span.size; ++i) {
+        const VertexId u = span.vertices[i];
+        if (!seen.insert(u).second) continue;
+        next.push_back(u);
+        if (depth >= min_hops && is_target.insert(u).second) {
+          targets.push_back(u);
+        }
+      }
+    }
+    level = std::move(next);
+  }
+  return targets;
+}
+
+TEST(CsrTraversalTest, VarLengthMatchesPerLevelReferenceOnRandomGraphs) {
+  GraphSchema schema;
+  schema.AddVertexType("V");
+  ASSERT_TRUE(schema.AddEdgeType("A", "V", "V").ok());
+  ASSERT_TRUE(schema.AddEdgeType("B", "V", "V").ok());
+  const graph::EdgeTypeId type_a = schema.FindEdgeType("A");
+  size_t checked = 0;
+  size_t one_visited_checks = 0;
+  for (uint32_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937 rng(seed);
+    PropertyGraph g(schema);
+    const size_t n = 6 + rng() % 20;
+    for (size_t i = 0; i < n; ++i) g.AddVertex("V").value();
+    const size_t m = n + rng() % (3 * n);
+    for (size_t i = 0; i < m; ++i) {
+      const VertexId from = static_cast<VertexId>(rng() % n);
+      // A self-loop, a parallel edge or a random edge.
+      const uint32_t dice = rng() % 10;
+      const VertexId to =
+          dice == 0 ? from : static_cast<VertexId>(rng() % n);
+      const char* type = rng() % 3 == 0 ? "B" : "A";
+      ASSERT_TRUE(g.AddEdge(from, to, type).ok());
+      if (dice == 1) ASSERT_TRUE(g.AddEdge(from, to, type).ok());
+    }
+    CsrGraph csr = CsrGraph::Build(g);
+    // One traversal for the whole graph, as a runner keeps it: the
+    // epochs must separate calls.
+    internal::CsrTraversal traversal(csr);
+    internal::StepScratch scratch;
+    for (graph::EdgeTypeId type : {type_a, graph::kInvalidTypeId}) {
+      for (int min_hops : {0, 1, 2, 3}) {
+        for (int max_hops = std::max(min_hops, 1); max_hops <= min_hops + 3;
+             ++max_hops) {
+          for (bool backward : {false, true}) {
+            for (VertexId start = 0; start < n; ++start) {
+              traversal.VarLengthTargets(start, type, min_hops, max_hops,
+                                         backward, &scratch);
+              const std::vector<VertexId> want = ReferenceTargets(
+                  csr, start, type, min_hops, max_hops, backward);
+              ASSERT_EQ(scratch.candidates, want)
+                  << "seed " << seed << " start " << start << " *"
+                  << min_hops << ".." << max_hops
+                  << (backward ? " backward" : " forward");
+              ++checked;
+              if (min_hops <= 1) ++one_visited_checks;
+              if (backward) continue;
+              // Connectivity is forward only: every end the reference
+              // reaches, and no other.
+              const std::set<VertexId> reached(want.begin(), want.end());
+              for (VertexId end = 0; end < n; ++end) {
+                EXPECT_EQ(traversal.VarLengthConnected(start, end, type,
+                                                       min_hops, max_hops,
+                                                       &scratch),
+                          reached.count(end) == 1)
+                    << "seed " << seed << " " << start << " -> " << end
+                    << " *" << min_hops << ".." << max_hops;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(one_visited_checks, 400u);
+}
+
+// ---------------------------------------------------------------------------
+// What ResolveMatch's plan guarantees about its rows
+// ---------------------------------------------------------------------------
+
+/// One User, three Jobs, five Files, with parallel edges and a
+/// Job -> File -> Job cycle, so a plan that can repeat a row would.
+PropertyGraph RowFlagsGraph() {
+  GraphSchema schema;
+  schema.AddVertexType("Job");
+  schema.AddVertexType("File");
+  schema.AddVertexType("User");
+  EXPECT_TRUE(schema.AddEdgeType("WRITES_TO", "Job", "File").ok());
+  EXPECT_TRUE(schema.AddEdgeType("IS_READ_BY", "File", "Job").ok());
+  EXPECT_TRUE(schema.AddEdgeType("SUBMITS", "User", "Job").ok());
+  PropertyGraph g(schema);
+  std::vector<VertexId> jobs;
+  std::vector<VertexId> files;
+  for (int i = 0; i < 3; ++i) jobs.push_back(g.AddVertex("Job").value());
+  for (int i = 0; i < 5; ++i) files.push_back(g.AddVertex("File").value());
+  const VertexId user = g.AddVertex("User").value();
+  auto add = [&](VertexId from, VertexId to, const char* type) {
+    EXPECT_TRUE(g.AddEdge(from, to, type).ok());
+  };
+  add(user, jobs[0], "SUBMITS");
+  add(user, jobs[0], "SUBMITS");  // parallel
+  add(user, jobs[1], "SUBMITS");
+  for (int i = 0; i < 3; ++i) {
+    add(jobs[i], files[i], "WRITES_TO");
+    add(jobs[i], files[i + 1], "WRITES_TO");
+    add(files[i + 1], jobs[(i + 1) % 3], "IS_READ_BY");
+  }
+  add(jobs[0], files[1], "WRITES_TO");  // parallel
+  add(files[4], jobs[0], "IS_READ_BY");
+  add(files[4], jobs[0], "IS_READ_BY");  // parallel
+  return g;
+}
+
+TEST(ResolveMatchTest, RowFlagsFollowThePlan) {
+  struct Case {
+    const char* text;
+    bool rows_distinct;
+    bool seeds_disjoint;
+  };
+  const Case cases[] = {
+      // Every slot returned, variable-length edge last (after a gathered
+      // middle step).
+      {"MATCH (a:Job)-[:WRITES_TO]->(f:File) (f:File)-[r*1..2]->(g:File) "
+       "RETURN a, f, g",
+       true, true},
+      {"MATCH (a:File)-[r*0..4]->(b:File) RETURN a, b", true, true},
+      // Seeded at the Job end, expanded backward at *2..3.
+      {"MATCH (f:File)-[r*2..3]->(j:Job) RETURN f, j", true, true},
+      // A hidden middle slot, as in the lineage shape.
+      {"MATCH (a:Job)-[:WRITES_TO]->(f:File) (f:File)-[r*0..8]->(g:File) "
+       "RETURN a, g",
+       false, true},
+      // A fixed-length final expansion, over parallel edges.
+      {"MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f", false, true},
+      {"MATCH (u:User)-[:SUBMITS]->(j:Job) RETURN u, j", false, true},
+      // The last step is a fixed-length filter edge, which repeats
+      // nothing.
+      {"MATCH (a:Job)-[:WRITES_TO]->(f:File) (f:File)-[:IS_READ_BY]->(b:Job) "
+       "(b:Job)-[:WRITES_TO]->(f:File) RETURN a, f, b",
+       true, true},
+      // A disconnected second component, seeded last.
+      {"MATCH (u:User)-[:SUBMITS]->(j:Job) (f:File) RETURN u, j, f", true,
+       true},
+      {"MATCH (u:User)-[:SUBMITS]->(j:Job) (f:File) RETURN j, f", false,
+       false},
+      // A second component ending in a fixed-length expansion.
+      {"MATCH (u:User)-[:SUBMITS]->(j:Job) (a:Job)-[:WRITES_TO]->(f:File) "
+       "RETURN u, j, a, f",
+       false, true},
+      // The top seed's slot hidden.
+      {"MATCH (u:User)-[:SUBMITS]->(j:Job) (j:Job)-[r*1..3]->(g:Job) "
+       "RETURN j, g",
+       false, false},
+  };
+  PropertyGraph g = RowFlagsGraph();
+  CsrGraph csr = CsrGraph::Build(g);
+  for (const Case& c : cases) {
+    auto q = ParseQueryText(c.text);
+    ASSERT_TRUE(q.ok()) << c.text << ": " << q.status();
+    auto rm = internal::ResolveMatch(g, q->match());
+    ASSERT_TRUE(rm.ok()) << c.text << ": " << rm.status();
+    EXPECT_EQ(rm->rows_distinct, c.rows_distinct) << c.text;
+    EXPECT_EQ(rm->seeds_disjoint, c.seeds_disjoint) << c.text;
+    // Whatever the flags, every CSR execution mode returns the oracle's
+    // rows, each once, and the parallel and sharded ones in sequential
+    // order.
+    QueryExecutor legacy(&g);
+    auto want = legacy.Execute(*q);
+    ASSERT_TRUE(want.ok()) << c.text;
+    ASSERT_GT(want->num_rows(), 0u) << c.text;
+    QueryExecutor sequential(&g, &csr);
+    auto got = sequential.Execute(*q);
+    ASSERT_TRUE(got.ok()) << c.text;
+    EXPECT_EQ(testutil::CanonicalRows(*got), testutil::CanonicalRows(*want))
+        << c.text;
+    for (size_t shards : {size_t{1}, size_t{2}}) {
+      ExecutorOptions opts;
+      opts.parallelism = 4;
+      opts.shards = shards;
+      QueryExecutor split(&g, &csr, opts);
+      auto split_rows = split.Execute(*q);
+      ASSERT_TRUE(split_rows.ok()) << c.text;
+      EXPECT_EQ(split_rows->rows(), got->rows())
+          << c.text << " at shards " << shards;
+    }
+  }
+}
+
+TEST(ExplainRowsTest, ShowsWhetherRowsAreHashed) {
+  PropertyGraph g = RowFlagsGraph();
+  graph::GraphStats stats = graph::GraphStats::Compute(g);
+  auto distinct = ParseQueryText(
+      "MATCH (a:Job)-[:WRITES_TO]->(f:File) (f:File)-[r*1..2]->(g:File) "
+      "RETURN a, f, g");
+  auto hashed = ParseQueryText(
+      "SELECT COUNT(*) FROM (MATCH (a:Job)-[:WRITES_TO]->(f:File) "
+      "(f:File)-[r*0..8]->(g:File) RETURN a, g) GROUP BY a");
+  ASSERT_TRUE(distinct.ok() && hashed.ok());
+  const std::string distinct_plan = ExplainQuery(*distinct, g, stats);
+  EXPECT_NE(distinct_plan.find("  rows: distinct by construction\n"),
+            std::string::npos)
+      << distinct_plan;
+  EXPECT_EQ(distinct_plan.find("hash-deduplicated"), std::string::npos);
+  // The line sits under the MATCH, indented with it.
+  const std::string hashed_plan = ExplainQuery(*hashed, g, stats);
+  EXPECT_NE(hashed_plan.find("    rows: hash-deduplicated\n"),
+            std::string::npos)
+      << hashed_plan;
+  EXPECT_EQ(hashed_plan.find("distinct by construction"), std::string::npos);
 }
 
 }  // namespace
