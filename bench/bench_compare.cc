@@ -57,11 +57,23 @@ struct Gate {
 // outside. Q2's engine overhead (`Engine::Execute` over a khop2 view /
 // the executor alone on that view's snapshot) is a same-process ratio
 // too: with the view ids mapped in place it reads 0.99-1.12x there; the
-// copying row mapping it replaced read 1.52-1.53x.
+// copying row mapping it replaced read 1.52-1.53x. Since results became
+// flat cell arrays the executor is faster and the engine's fixed cost
+// weighs more: ten Release runs read 1.12-1.36x.
+//
+// Q2's result-table build (`q2_table_ns_per_row`, build and free under
+// default malloc) is the one gated figure that is not a ratio: no
+// same-process baseline exists for it. Ten Release runs of the
+// flat-cell table on a 4-vCPU VM read 5.0-8.5 ns a row, and six of the
+// one-vector-per-row table it replaced 43-60 ns. The tolerance lets a
+// run 2.5x the committed figure pass, which spans that host's spread
+// with room for a slower CI runner, and still fails a return to
+// per-row allocation.
 constexpr Gate kGates[] = {
     {"query_latency", "*", "*_csr_speedup", Better::kHigher, 0.6},
     {"query_latency", "select", "q1_select_overhead", Better::kLower, 0.4},
     {"query_latency", "view_read", "q2_engine_overhead", Better::kLower, 0.3},
+    {"query_latency", "view_read", "q2_table_ns_per_row", Better::kLower, 1.5},
     {"query_latency", "fusion", "expansion_ratio", Better::kHigher, 0.1},
     {"query_latency", "*", "*_scaling", Better::kHigher, 0.6,
      /*needs_threads=*/true},

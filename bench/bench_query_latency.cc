@@ -26,7 +26,12 @@
 // rewritten query on the view's own CSR snapshot, and records engine /
 // executor as `q2_engine_overhead`: what the engine adds to a
 // view-served read (plan-cache lookup, admission, workload tracking and
-// mapping view ids back to base ids).
+// mapping view ids back to base ids). The same section rebuilds Q2's
+// result `Table` from its flat MATCH rows (`internal::RowSetToTable`)
+// and frees it, and records the best time per row as
+// `q2_table_ns_per_row`: what materializing a view-served read's result
+// costs. It is measured under the process's default malloc settings,
+// as CI and embedders run, not `perfbench`'s tuned ones.
 //
 // A final `fusion` section pushes a 100-query same-shape batch through
 // `Engine::ExecuteBatch` with cross-query fusion on vs off and records
@@ -46,6 +51,7 @@
 #include "datasets/workloads.h"
 #include "graph/csr.h"
 #include "query/executor.h"
+#include "query/match_common.h"
 #include "query/parser.h"
 
 namespace {
@@ -235,6 +241,38 @@ void RunViewReadSection() {
               "snapshot %.6fs, engine / executor %.2fx\n",
               served.view_name.c_str(), engine_rows, engine_s, executor_s,
               engine_s / executor_s);
+
+  // Q2's rows as the CSR drivers hand them over, then built into a
+  // `Table` and freed, best of `reps`.
+  const Table result = OrDie(executor.Execute(rewritten), "Q2 on the view");
+  kaskade::query::internal::RowSet rows(result.num_columns(),
+                                        /*deduplicate=*/false);
+  std::vector<kaskade::graph::VertexId> ids(result.num_columns());
+  for (const auto& row : result.rows()) {
+    for (size_t c = 0; c < ids.size(); ++c) {
+      ids[c] = static_cast<kaskade::graph::VertexId>(row[c].as_int());
+    }
+    rows.Insert(ids.data());
+  }
+  double table_s = 1e100;
+  size_t table_rows = 0;
+  for (int r = 0; r < reps; ++r) {
+    table_s = std::min(table_s, TimeSeconds([&] {
+                         const Table built =
+                             kaskade::query::internal::RowSetToTable(
+                                 result.columns(), rows);
+                         table_rows = built.num_rows();
+                       }));
+  }
+  if (table_rows != engine_rows) {
+    std::fprintf(stderr, "Q2 table rows %zu, expected %zu\n", table_rows,
+                 engine_rows);
+    std::exit(1);
+  }
+  const double ns_per_row = table_s * 1e9 / double(table_rows);
+  JsonReport::Record("view_read", "q2_table_ns_per_row", ns_per_row);
+  std::printf("Q2 result Table build + free: %.6fs, %.1f ns per row\n",
+              table_s, ns_per_row);
 }
 
 /// Cross-query fusion: a 100-query batch of one plan shape (constants

@@ -50,6 +50,13 @@ void MapViewTableToBase(const MaterializedView& view, query::Table* table) {
 
 }  // namespace
 
+std::unique_lock<std::shared_mutex> Engine::LockWriter() {
+  std::lock_guard<std::mutex> turn(writer_turn_);
+  return std::unique_lock<std::shared_mutex>(mu_);
+}
+
+void Engine::AwaitWriters() { std::lock_guard<std::mutex> turn(writer_turn_); }
+
 Engine::Engine(graph::PropertyGraph base_graph, EngineOptions options)
     : Engine(std::move(base_graph), std::move(options), std::nullopt) {}
 
@@ -440,7 +447,7 @@ void Engine::RepairLoop() {
       // (same path a manual rebuild takes).
       Status repaired;
       {
-        std::unique_lock lock(mu_);
+        std::unique_lock lock = LockWriter();
         repaired = catalog_.Add(definition).status();
       }
       std::lock_guard<std::mutex> lock(repair_mu_);
@@ -538,7 +545,7 @@ Result<AdviceReport> Engine::ApplyAdvice(const AdvicePlan& plan) {
 Result<AdviceReport> Engine::ApplyAdviceImpl(const AdvicePlan& plan,
                                              bool reserve_errors) {
   AdviceReport report;
-  std::unique_lock lock(mu_);
+  std::unique_lock lock = LockWriter();
   for (const std::string& name : plan.drop) {
     Status status = catalog_.Remove(name);
     if (status.ok()) {
@@ -725,7 +732,7 @@ void Engine::RunBuildJob(BuildJob job) {
     }
     if (options_.build_hooks.before_publish) options_.build_hooks.before_publish();
 
-    std::unique_lock lock(mu_);
+    std::unique_lock lock = LockWriter();
     Status publish_fault =
         options_.fault_hooks.Fire(FaultSite::kPublish, definition.Name());
     if (!publish_fault.ok()) {
@@ -807,7 +814,7 @@ void Engine::FailBuild(const BuildJob& job, const Status& status) {
     // recorded in the entry's health, so monitors can see what broke
     // and a later advice round can reclaim the entry by rebuilding.
     // Queries meanwhile fall back to the base graph.
-    std::unique_lock lock(mu_);
+    std::unique_lock lock = LockWriter();
     (void)catalog_.Quarantine(job.handle, status);
   }
   {
@@ -889,19 +896,19 @@ Status Engine::TakeBuildError() {
 // ---------------------------------------------------------------------------
 
 Status Engine::AddMaterializedView(const ViewDefinition& definition) {
-  std::unique_lock lock(mu_);
+  std::unique_lock lock = LockWriter();
   KASKADE_RETURN_IF_ERROR(catalog_.Add(definition).status());
   return PersistViewSetLocked();
 }
 
 Status Engine::RemoveView(const std::string& name) {
-  std::unique_lock lock(mu_);
+  std::unique_lock lock = LockWriter();
   KASKADE_RETURN_IF_ERROR(catalog_.Remove(name));
   return PersistViewSetLocked();
 }
 
 Status Engine::RefreshViews() {
-  std::unique_lock lock(mu_);
+  std::unique_lock lock = LockWriter();
   return catalog_.RefreshAll();
 }
 
@@ -931,7 +938,7 @@ void Engine::NoteBaseChangedLocked(const graph::GraphDelta* delta) {
 
 Status Engine::MutateBaseGraph(
     const std::function<Status(graph::PropertyGraph*)>& mutation) {
-  std::unique_lock lock(mu_);
+  std::unique_lock lock = LockWriter();
   Status status = mutation(&base_);
   // Even a failed mutation may have partially changed the graph; a
   // spurious generation bump only costs a plan-cache miss.
@@ -955,7 +962,7 @@ Status Engine::MutateBaseGraph(
 }
 
 Result<DeltaReport> Engine::ApplyDelta(graph::GraphDelta delta) {
-  std::unique_lock lock(mu_);
+  std::unique_lock lock = LockWriter();
   DeltaReport report;
   report.removals_coalesced = delta.Coalesce();
   KASKADE_ASSIGN_OR_RETURN(graph::AppliedDelta applied,
@@ -1109,6 +1116,7 @@ Result<ExecutionResult> Engine::ExecuteAdmitted(
   }
   Result<ExecutionResult> result = Status::Internal("unreachable");
   {
+    AwaitWriters();
     std::shared_lock lock(mu_);
     const std::chrono::steady_clock::time_point deadline =
         EffectiveDeadline(call);
@@ -1337,6 +1345,7 @@ std::vector<Result<ExecutionResult>> Engine::ExecuteBatch(
   const std::chrono::steady_clock::time_point deadline =
       EffectiveDeadline(call);
   {
+    AwaitWriters();
     std::shared_lock lock(mu_);
     // Phase 1 — plan every text (plan cache + parse). Failures settle
     // their slots here; everything else becomes work below.

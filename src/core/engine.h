@@ -25,7 +25,9 @@
 /// (the drop/schedule step), and `MutateBaseGraph` are *writers* — each
 /// runs exclusively, via a `std::shared_mutex`, so readers observe
 /// either the pre-delta or the post-delta catalog generation, never a
-/// torn view. The planner's plan cache is keyed by query template and
+/// torn view. A waiting writer goes first: queries that arrive while it
+/// waits queue behind it, so a steady stream of reads cannot starve
+/// writes. The planner's plan cache is keyed by query template and
 /// the catalog's plan epoch, which only planner-visible writers move
 /// (view changes, statistics refreshes): cached plans survive ordinary
 /// base-graph writes and are re-bound to each query's literals.
@@ -718,6 +720,11 @@ class Engine {
     std::atomic<size_t> done{0};  ///< Completed tasks.
   };
 
+  /// Takes `mu_` exclusively, holding `writer_turn_` while waiting.
+  std::unique_lock<std::shared_mutex> LockWriter();
+  /// Returns once no writer is waiting for `mu_` ahead of this reader.
+  void AwaitWriters();
+
   /// Executes a previously chosen plan under `deadline` (time_point{} =
   /// none). Caller holds (at least) the reader lock.
   Result<ExecutionResult> RunPlan(
@@ -860,7 +867,17 @@ class Engine {
   WorkloadTracker tracker_;
   /// Readers: Execute/ExecuteBatch and background materializations.
   /// Writers: everything that mutates the catalog or the base graph.
+  /// Writers take it through `LockWriter`.
   mutable std::shared_mutex mu_;
+  /// Held by a writer while it waits for `mu_`; `Execute` and
+  /// `ExecuteBatch` pass through it (`AwaitWriters`) before taking `mu_`
+  /// shared. glibc's `std::shared_mutex` admits new readers while a
+  /// writer waits, so back-to-back queries could otherwise starve
+  /// `ApplyDelta` indefinitely. Only those two entry points wait: other
+  /// readers (build pins, checkpoints, repair scans) can run while a
+  /// thread already holds `mu_` shared, and would deadlock behind a
+  /// writer that waits for that thread.
+  std::mutex writer_turn_;
 
   /// Monotonic count of base-graph changes (unlike the catalog
   /// generation, catalog-only changes do not move it). Guarded by `mu_`:

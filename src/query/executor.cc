@@ -140,20 +140,19 @@ class MatchEvaluator {
 
   Status EmitRow() {
     if (guard_.Charge(1)) return internal::DeadlineExceededError();
-    Table::Row row;
-    row.reserve(rm_.return_slots.size());
     std::string key;
     for (int slot : rm_.return_slots) {
-      VertexId v = binding_[slot];
-      row.emplace_back(static_cast<int64_t>(v));
-      key += std::to_string(v);
+      key += std::to_string(binding_[slot]);
       key += ",";
     }
     if (!distinct_rows_.insert(key).second) return Status::OK();
     if (table_.num_rows() >= options_.max_rows) {
       return Status::ResourceExhausted("MATCH row limit exceeded");
     }
-    table_.AddRow(std::move(row));
+    for (int slot : rm_.return_slots) {
+      table_.EmplaceCell(static_cast<int64_t>(binding_[slot]));
+    }
+    table_.EndRow();
     return Status::OK();
   }
 
@@ -775,7 +774,7 @@ ColumnBatch BatchFromMatchTable(const Table& table) {
   batch.distinct = true;
   for (size_t c = 0; c < batch.columns.size(); ++c) {
     batch.ids[c].reserve(table.num_rows());
-    for (const Table::Row& row : table.rows()) {
+    for (const auto& row : table.rows()) {
       batch.ids[c].push_back(static_cast<VertexId>(row[c].as_int()));
     }
   }
@@ -787,18 +786,16 @@ Table BatchToTable(ColumnBatch batch) {
   Table table(batch.columns);
   table.Reserve(batch.num_rows);
   for (size_t r = 0; r < batch.num_rows; ++r) {
-    Table::Row row;
-    row.reserve(batch.columns.size());
     for (size_t c = 0; c < batch.columns.size(); ++c) {
       if (!batch.columns[c].is_vertex) {
-        row.push_back(std::move(batch.values[c][r]));
+        table.EmplaceCell(std::move(batch.values[c][r]));
       } else if (batch.ids[c][r] == graph::kInvalidId) {
-        row.emplace_back();
+        table.EmplaceCell();
       } else {
-        row.emplace_back(static_cast<int64_t>(batch.ids[c][r]));
+        table.EmplaceCell(static_cast<int64_t>(batch.ids[c][r]));
       }
     }
-    table.AddRow(std::move(row));
+    table.EndRow();
   }
   return table;
 }

@@ -9,13 +9,15 @@
 ///
 /// Rows are materialized late. The CSR MATCH drivers (sequential,
 /// seed-parallel, sharded) produce one flat array of distinct `VertexId`
-/// rows; a bare MATCH turns it into a `Table` once, at the end. A SELECT
-/// layer reads and writes column batches (vertex columns as id arrays,
-/// value columns as `PropertyValue` arrays), built from the MATCH rows
-/// without per-row allocation (the legacy backtracker's `Table` is
-/// converted at the same boundary), and only the outermost layer's
-/// output becomes a `Table`. Vertex cells hold ids of the graph the
-/// executor runs on; mapping a view's ids back to base ids is the
+/// rows; a bare MATCH turns it into a `Table` once, at the end, writing
+/// its cells straight into the table's single row-major cell array. A
+/// SELECT layer reads and writes column batches (vertex columns as id
+/// arrays, value columns as `PropertyValue` arrays), built from the
+/// MATCH rows without per-row allocation (the legacy backtracker's
+/// `Table` is converted at the same boundary), and only the outermost
+/// layer's output becomes a `Table`, again cell by cell: building a
+/// `Table` allocates nothing per row. Vertex cells hold ids of the graph
+/// the executor runs on; mapping a view's ids back to base ids is the
 /// engine's job, done in place on the returned `Table`.
 ///
 /// Each SELECT layer is compiled once against its input's schema before

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "query/match_common.h"
@@ -10,68 +12,86 @@ namespace kaskade::query {
 
 namespace {
 
+/// `(name:Type)` for pattern node `slot` (slots follow `match.nodes`).
+std::string NodeLabel(const MatchQuery& match, int slot) {
+  const NodePattern& node = match.nodes[slot];
+  return "(" + node.name + (node.type.empty() ? "" : ":" + node.type) + ")";
+}
+
 void ExplainMatch(const MatchQuery& match, const graph::PropertyGraph& graph,
                   const graph::GraphStats& stats,
                   const CostModelOptions& options, const std::string& indent,
                   std::string* out) {
   *out += indent + "MATCH\n";
-  if (!match.nodes.empty()) {
-    const NodePattern& seed = match.nodes.front();
-    graph::VertexTypeId type = seed.type.empty()
-                                   ? graph::kInvalidTypeId
-                                   : graph.schema().FindVertexType(seed.type);
-    size_t cardinality = type == graph::kInvalidTypeId
-                             ? graph.NumLiveVertices()
-                             : graph.NumVerticesOfType(type);
-    *out += indent + "  seed (" + seed.name;
-    if (!seed.type.empty()) *out += ":" + seed.type;
-    *out += ")  " +
-            FormatWithCommas(static_cast<long long>(cardinality)) +
-            " vertices\n";
+  // The steps come from the plan the executor builds for this graph, in
+  // its order: it may seed at any node and walk an edge backward.
+  Result<internal::ResolvedMatch> resolved =
+      internal::ResolveMatch(graph, match);
+  if (!resolved.ok()) {
+    *out += indent + "  unresolved: " + resolved.status().message() + "\n";
+    return;
   }
-  for (const EdgePattern& edge : match.edges) {
-    *out += indent + "  expand -[";
-    if (!edge.type.empty()) *out += ":" + edge.type;
-    if (edge.variable_length) {
-      *out += "*" + std::to_string(edge.min_hops) + ".." +
-              std::to_string(edge.max_hops);
+  const internal::ResolvedPattern& pattern = resolved->pattern;
+  std::vector<bool> bound(pattern.nodes.size(), false);
+  for (const internal::Step& step : resolved->plan) {
+    if (step.kind == internal::Step::kSeed) {
+      const internal::ResolvedPattern::Node& node =
+          pattern.nodes[step.node_slot];
+      const size_t cardinality = node.has_type_constraint
+                                     ? graph.NumVerticesOfType(node.type)
+                                     : graph.NumLiveVertices();
+      *out += indent + "  seed " + NodeLabel(match, step.node_slot) + "  " +
+              FormatWithCommas(static_cast<long long>(cardinality)) +
+              " vertices\n";
+      bound[step.node_slot] = true;
+      continue;
     }
-    *out += "]-> (" + edge.to;
-    const NodePattern* to = match.FindNode(edge.to);
-    if (to != nullptr && !to->type.empty()) *out += ":" + to->type;
-    *out += ")  ";
+    const EdgePattern& edge = match.edges[step.edge_index];
+    const internal::ResolvedPattern::Edge& resolved_edge =
+        pattern.edges[step.edge_index];
+    std::string label = edge.type.empty() ? "" : ":" + edge.type;
     if (edge.variable_length) {
-      *out += std::to_string(edge.max_hops) + " bounded graph sweeps";
+      label += "*" + std::to_string(edge.min_hops) + ".." +
+               std::to_string(edge.max_hops);
+    }
+    if (bound[resolved_edge.from] && bound[resolved_edge.to]) {
+      // A cycle-closing edge between bound nodes only filters.
+      *out += indent + "  check " + NodeLabel(match, resolved_edge.from) +
+              "-[" + label + "]->" + NodeLabel(match, resolved_edge.to) +
+              "\n";
+      continue;
+    }
+    if (bound[resolved_edge.from]) {
+      *out += indent + "  expand -[" + label + "]-> " +
+              NodeLabel(match, resolved_edge.to) + "  ";
     } else {
-      const NodePattern* from = match.FindNode(edge.from);
-      graph::VertexTypeId from_type =
-          (from != nullptr && !from->type.empty())
-              ? graph.schema().FindVertexType(from->type)
-              : graph::kInvalidTypeId;
-      const graph::TypeDegreeSummary& summary =
-          from_type == graph::kInvalidTypeId ? stats.overall()
-                                             : stats.ForType(from_type);
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "x%.1f",
-                    std::max(summary.Percentile(options.degree_alpha),
-                             options.min_expansion));
-      *out += buf;
+      *out += indent + "  expand <-[" + label + "]- " +
+              NodeLabel(match, resolved_edge.from) + "  ";
     }
-    *out += "\n";
+    bound[resolved_edge.from] = true;
+    bound[resolved_edge.to] = true;
+    if (edge.variable_length) {
+      *out += std::to_string(edge.max_hops) + " bounded graph sweeps\n";
+      continue;
+    }
+    const internal::ResolvedPattern::Node& from =
+        pattern.nodes[resolved_edge.from];
+    const graph::TypeDegreeSummary& summary =
+        from.has_type_constraint ? stats.ForType(from.type) : stats.overall();
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "x%.1f\n",
+                  std::max(summary.Percentile(options.degree_alpha),
+                           options.min_expansion));
+    *out += buf;
   }
   if (!match.where.empty()) {
     *out += indent + "  filter: " + std::to_string(match.where.size()) +
             " condition(s)\n";
   }
-  // Whether the CSR runners hash each row, from the plan the executor
-  // builds for this graph. An unresolvable pattern gets no line.
-  Result<internal::ResolvedMatch> resolved =
-      internal::ResolveMatch(graph, match);
-  if (resolved.ok()) {
-    *out += indent + (resolved->rows_distinct
-                          ? "  rows: distinct by construction\n"
-                          : "  rows: hash-deduplicated\n");
-  }
+  // Whether the CSR runners hash each row.
+  *out += indent + (resolved->rows_distinct
+                        ? "  rows: distinct by construction\n"
+                        : "  rows: hash-deduplicated\n");
 }
 
 void ExplainNode(const Query& query, const graph::PropertyGraph& graph,

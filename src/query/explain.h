@@ -31,6 +31,15 @@ namespace kaskade::query {
 ///   estimated cost: 3.9e+08
 /// ```
 ///
+/// The MATCH lines follow the executor's plan (`PlanMatchOrder`): the
+/// seed is the node with the fewest candidates, not necessarily the
+/// first one written, and each step says its direction: `-[...]->
+/// (to)` walks an edge forward from a bound `from`, `<-[...]- (from)`
+/// walks it backward from a bound `to`, and `check (a)-[...]->(b)` is
+/// a cycle-closing edge between bound nodes. A pattern that does not
+/// resolve against `graph` (an unknown type, say) prints `unresolved:`
+/// and the reason instead.
+///
 /// The `rows:` line says whether the CSR runners hash each MATCH row to
 /// drop repeats (`hash-deduplicated`) or append rows the plan cannot
 /// repeat (`distinct by construction`).

@@ -213,12 +213,10 @@ Table RowSetToTable(std::vector<Column> columns, const RowSet& rows) {
   table.Reserve(rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
     const VertexId* row = rows.row(r);
-    Table::Row out;
-    out.reserve(width);
     for (size_t k = 0; k < width; ++k) {
-      out.emplace_back(static_cast<int64_t>(row[k]));
+      table.EmplaceCell(static_cast<int64_t>(row[k]));
     }
-    table.AddRow(std::move(out));
+    table.EndRow();
   }
   return table;
 }

@@ -308,9 +308,9 @@ class RowSet {
 };
 
 /// The result table of a bare MATCH: one `Table` row per row of `rows`,
-/// one int cell per vertex id, under `columns`. The one place where a
-/// MATCH's flat rows become per-row `Table` rows; a SELECT reads the
-/// `RowSet` instead.
+/// one int cell per vertex id, under `columns`, written straight into the
+/// table's cell array. The one place where a MATCH's flat rows become
+/// `Table` rows; a SELECT reads the `RowSet` instead.
 Table RowSetToTable(std::vector<Column> columns, const RowSet& rows);
 
 /// Per-plan-step reusable buffers: gathered candidates survive across

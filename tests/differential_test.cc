@@ -418,7 +418,8 @@ TEST_P(DifferentialTest, CsrExecutorMatchesLegacyAcrossMutations) {
         ASSERT_EQ(sequential->num_rows(), rows->num_rows())
             << text << " (" << name << ")";
         for (size_t r = 0; r < sequential->num_rows(); ++r) {
-          ASSERT_EQ(sequential->rows()[r], rows->rows()[r])
+          ASSERT_EQ(testutil::OwnedRow(sequential->rows()[r]),
+                    testutil::OwnedRow(rows->rows()[r]))
               << text << " row " << r << " differs between sequential and "
               << name << " at step " << step;
         }
@@ -469,7 +470,8 @@ void ExpectTablesIdentical(const query::Table& expected,
   }
   ASSERT_EQ(expected.num_rows(), actual.num_rows()) << context;
   for (size_t r = 0; r < expected.num_rows(); ++r) {
-    ASSERT_EQ(expected.rows()[r], actual.rows()[r])
+    ASSERT_EQ(testutil::OwnedRow(expected.rows()[r]),
+              testutil::OwnedRow(actual.rows()[r]))
         << context << " row " << r << " differs";
   }
 }

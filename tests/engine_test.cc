@@ -20,6 +20,7 @@
 #include "datasets/workloads.h"
 #include "graph/delta.h"
 #include "query/parser.h"
+#include "table_test_util.h"
 
 namespace kaskade::core {
 namespace {
@@ -306,7 +307,9 @@ TEST(ExecuteBatchTest, ShapeGroupsFuseAndMatchSolo) {
     ASSERT_TRUE(results[i].ok()) << batch[i] << ": " << results[i].status();
     auto solo = engine.Execute(batch[i]);
     ASSERT_TRUE(solo.ok());
-    EXPECT_EQ(results[i]->table.rows(), solo->table.rows()) << batch[i];
+    EXPECT_EQ(testutil::OwnedRows(results[i]->table),
+              testutil::OwnedRows(solo->table))
+        << batch[i];
   }
   EXPECT_TRUE(results[0]->fused);
   EXPECT_TRUE(results[1]->fused);
@@ -625,7 +628,7 @@ std::string AnchoredRead(const std::string& job) {
 }
 
 std::vector<query::Table::Row> SortedRows(const query::Table& table) {
-  std::vector<query::Table::Row> rows = table.rows();
+  std::vector<query::Table::Row> rows = testutil::OwnedRows(table);
   std::sort(rows.begin(), rows.end());
   return rows;
 }

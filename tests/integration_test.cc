@@ -58,8 +58,8 @@ ViewDefinition JobToJob2Hop() {
 std::vector<Table::Row> MapToBaseIds(const PropertyGraph& view_graph,
                                      const Table& table) {
   std::vector<Table::Row> rows;
-  for (const Table::Row& row : table.rows()) {
-    Table::Row mapped = row;
+  for (const auto& row : table.rows()) {
+    Table::Row mapped(row.begin(), row.end());
     for (size_t c = 0; c < row.size(); ++c) {
       if (table.columns()[c].is_vertex) {
         auto v = static_cast<graph::VertexId>(row[c].as_int());

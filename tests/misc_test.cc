@@ -50,6 +50,121 @@ TEST(TableTest, SortedRowsIsRowLexicographic) {
   EXPECT_EQ(sorted[0][0], PropertyValue(1));
   EXPECT_EQ(sorted[0][1], PropertyValue(2));
   EXPECT_EQ(sorted[2][0], PropertyValue(2));
+  const std::vector<Table::Row> want = {
+      {PropertyValue(1), PropertyValue(2)},
+      {PropertyValue(1), PropertyValue(9)},
+      {PropertyValue(2), PropertyValue(1)},
+  };
+  EXPECT_EQ(sorted, want);
+  // The table itself keeps insertion order.
+  EXPECT_EQ(t.rows()[0][0], PropertyValue(2));
+  EXPECT_EQ(t.rows()[2][1], PropertyValue(2));
+}
+
+TEST(TableTest, ZeroColumnTableCountsItsRows) {
+  Table t;
+  t.AddRow({});
+  t.AddRow({});
+  t.EndRow();  // a row of no emplaced cells
+  EXPECT_EQ(t.num_columns(), 0u);
+  EXPECT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(t.rows().size(), 3u);
+  size_t visited = 0;
+  for (const auto& row : t.rows()) {
+    EXPECT_TRUE(row.empty());
+    ++visited;
+  }
+  EXPECT_EQ(visited, 3u);
+  EXPECT_EQ(t.SortedRows().size(), 3u);
+  EXPECT_EQ(t.ToString(), "\n\n\n\n");
+}
+
+TEST(TableTest, RowViewsIterationAndToStringAgreeWithAddedRows) {
+  const std::vector<Table::Row> added = {
+      {PropertyValue(int64_t{7}), PropertyValue("x"), PropertyValue()},
+      {PropertyValue(), PropertyValue(2.5), PropertyValue(true)},
+      {PropertyValue(int64_t{-1}), PropertyValue("y z"), PropertyValue(0)},
+  };
+  Table t({Column{"v", true}, Column{"s", false}, Column{"w", false}});
+  for (const Table::Row& row : added) t.AddRow(row);
+  // Cells emplaced one by one make the same row as AddRow.
+  t.EmplaceCell(int64_t{3});
+  t.EmplaceCell("q");
+  t.EmplaceCell();
+  t.EndRow();
+  std::vector<Table::Row> expected = added;
+  expected.push_back({PropertyValue(int64_t{3}), PropertyValue("q"),
+                      PropertyValue()});
+
+  ASSERT_EQ(t.num_rows(), expected.size());
+  ASSERT_EQ(t.rows().size(), expected.size());
+  std::string rendered = "v | s | w\n";
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(t.rows()[i].size(), 3u);
+    for (size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(t.rows()[i][j], expected[i][j]) << i << "," << j;
+      // Same type too: an int cell stays an int, a double a double.
+      EXPECT_EQ(t.rows()[i][j].is_int(), expected[i][j].is_int());
+      EXPECT_EQ(t.rows()[i][j].is_double(), expected[i][j].is_double());
+      rendered += (j > 0 ? " | " : "") + expected[i][j].ToString();
+    }
+    rendered += "\n";
+  }
+  size_t i = 0;
+  for (const auto& row : t.rows()) {
+    ASSERT_LT(i, expected.size());
+    EXPECT_EQ(Table::Row(row.begin(), row.end()), expected[i]);
+    size_t j = 0;
+    for (const PropertyValue& v : row) EXPECT_EQ(v, expected[i][j++]);
+    EXPECT_EQ(j, 3u);
+    ++i;
+  }
+  EXPECT_EQ(i, expected.size());
+  EXPECT_EQ(t.ToString(), rendered);
+  EXPECT_EQ(t.ToString(2), "v | s | w\n7 | x | null\nnull | 2.5 | true\n"
+                           "... (2 more rows)\n");
+}
+
+TEST(TableTest, MoveKeepsCells) {
+  Table t({Column{"a", true}, Column{"b", false}});
+  t.AddRow({PropertyValue(1), PropertyValue("x")});
+  t.AddRow({PropertyValue(2), PropertyValue("y")});
+  const PropertyValue* first_cell = &t.rows()[0][0];
+
+  Table moved(std::move(t));
+  ASSERT_EQ(moved.num_rows(), 2u);
+  EXPECT_EQ(&moved.rows()[0][0], first_cell);  // the cells moved, uncopied
+  EXPECT_EQ(moved.rows()[1][1], PropertyValue("y"));
+
+  Table assigned;
+  assigned = std::move(moved);
+  ASSERT_EQ(assigned.num_rows(), 2u);
+  EXPECT_EQ(assigned.num_columns(), 2u);
+  EXPECT_EQ(&assigned.rows()[0][0], first_cell);
+  EXPECT_EQ(assigned.rows()[0][1], PropertyValue("x"));
+
+  const Table copy = assigned;
+  EXPECT_EQ(copy.SortedRows(), assigned.SortedRows());
+  EXPECT_NE(&copy.rows()[0][0], first_cell);
+}
+
+// A row of the wrong width would shift every later row of the flat cell
+// array, so it aborts in every build type, not only under assertions.
+TEST(TableDeathTest, WrongWidthRowIsRejected) {
+  Table t({Column{"a", false}, Column{"b", false}});
+  t.AddRow({PropertyValue(1), PropertyValue(2)});
+  EXPECT_DEATH(t.AddRow({PropertyValue(3)}),
+               "row 1 does not have the table's 2 columns");
+  EXPECT_DEATH(
+      t.AddRow({PropertyValue(3), PropertyValue(4), PropertyValue(5)}),
+      "row 1 does not have the table's 2 columns");
+  EXPECT_DEATH(
+      {
+        t.EmplaceCell(int64_t{3});
+        t.EndRow();
+      },
+      "row 1 does not have the table's 2 columns");
+  EXPECT_EQ(t.num_rows(), 1u);  // the parent's table is untouched
 }
 
 // ---------------------------------------------------------------------------

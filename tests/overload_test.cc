@@ -41,7 +41,7 @@ PropertyGraph MediumProv(uint64_t seed = 42) {
 std::vector<std::vector<int64_t>> RowsOf(const query::Table& t) {
   std::vector<std::vector<int64_t>> rows;
   rows.reserve(t.num_rows());
-  for (const query::Table::Row& row : t.rows()) {
+  for (const auto& row : t.rows()) {
     std::vector<int64_t> r;
     r.reserve(row.size());
     for (const graph::PropertyValue& v : row) r.push_back(v.as_int());

@@ -341,7 +341,7 @@ TEST(TableTest, MapVertexIdsRewritesOnlyVertexCellsInPlace) {
       {PropertyValue(int64_t{104}), PropertyValue("s"),
        PropertyValue(int64_t{100})},
   };
-  EXPECT_EQ(t.rows(), want);
+  EXPECT_EQ(testutil::OwnedRows(t), want);
   EXPECT_TRUE(t.rows()[0][2].is_null());
   EXPECT_TRUE(t.rows()[1][0].is_null());
 }
@@ -413,7 +413,8 @@ class ExecutorTest : public ::testing::Test {
     EXPECT_EQ(csr_seq.num_rows(), csr_par.num_rows()) << text;
     if (csr_seq.num_rows() == csr_par.num_rows()) {
       for (size_t r = 0; r < csr_seq.num_rows(); ++r) {
-        EXPECT_EQ(csr_seq.rows()[r], csr_par.rows()[r])
+        EXPECT_EQ(testutil::OwnedRow(csr_seq.rows()[r]),
+                  testutil::OwnedRow(csr_par.rows()[r]))
             << text << " row " << r << " differs between sequential and "
             << "parallel CSR execution";
       }
@@ -767,7 +768,8 @@ TEST_F(ExecutorTest, NestedSelectOverCsrBackendMatchesLegacy) {
   Table over_csr = RunCsr(query, /*parallelism=*/4);
   ASSERT_EQ(legacy.num_rows(), over_csr.num_rows());
   ASSERT_EQ(legacy.num_rows(), 1u);
-  EXPECT_EQ(legacy.rows()[0], over_csr.rows()[0]);
+  EXPECT_EQ(testutil::OwnedRow(legacy.rows()[0]),
+            testutil::OwnedRow(over_csr.rows()[0]));
 }
 
 // ---------------------------------------------------------------------------
@@ -1018,7 +1020,7 @@ TEST(ResolveMatchTest, RowFlagsFollowThePlan) {
       QueryExecutor split(&g, &csr, opts);
       auto split_rows = split.Execute(*q);
       ASSERT_TRUE(split_rows.ok()) << c.text;
-      EXPECT_EQ(split_rows->rows(), got->rows())
+      EXPECT_EQ(testutil::OwnedRows(*split_rows), testutil::OwnedRows(*got))
           << c.text << " at shards " << shards;
     }
   }
@@ -1045,6 +1047,49 @@ TEST(ExplainRowsTest, ShowsWhetherRowsAreHashed) {
             std::string::npos)
       << hashed_plan;
   EXPECT_EQ(hashed_plan.find("distinct by construction"), std::string::npos);
+}
+
+TEST(ExplainPlanTest, SeedsAndExpandsInTheExecutorsOrder) {
+  // 3 jobs, 5 files: the planner seeds at the job end and walks the
+  // variable-length edge backward, whatever order the text lists.
+  PropertyGraph g = RowFlagsGraph();
+  graph::GraphStats stats = graph::GraphStats::Compute(g);
+  auto q = ParseQueryText("MATCH (f:File)-[r*1..2]->(j:Job) RETURN f, j");
+  ASSERT_TRUE(q.ok());
+  auto rm = internal::ResolveMatch(g, q->match());
+  ASSERT_TRUE(rm.ok());
+  ASSERT_EQ(rm->plan.size(), 2u);
+  ASSERT_EQ(rm->plan[0].kind, internal::Step::kSeed);
+  ASSERT_EQ(rm->plan[0].node_slot, 1);  // j
+
+  const std::string plan = ExplainQuery(*q, g, stats);
+  const size_t seed = plan.find("  seed (j:Job)  3 vertices\n");
+  const size_t expand =
+      plan.find("  expand <-[*1..2]- (f:File)  2 bounded graph sweeps\n");
+  EXPECT_NE(seed, std::string::npos) << plan;
+  EXPECT_NE(expand, std::string::npos) << plan;
+  EXPECT_LT(seed, expand) << plan;
+  EXPECT_EQ(plan.find("seed (f:File)"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("]->"), std::string::npos) << plan;
+
+  // Seeded at the written first node, the same edge walks forward.
+  auto forward = ParseQueryText("MATCH (j:Job)-[r*1..2]->(f:File) RETURN j, f");
+  ASSERT_TRUE(forward.ok());
+  const std::string forward_plan = ExplainQuery(*forward, g, stats);
+  EXPECT_NE(forward_plan.find("  seed (j:Job)  3 vertices\n"
+                              "  expand -[*1..2]-> (f:File)"),
+            std::string::npos)
+      << forward_plan;
+
+  // An edge between two bound nodes is a check, not an expansion.
+  auto cycle = ParseQueryText(
+      "MATCH (a:Job)-[:WRITES_TO]->(f:File) (f:File)-[:IS_READ_BY]->(b:Job) "
+      "(a:Job)-[:WRITES_TO]->(f:File) RETURN a, b");
+  ASSERT_TRUE(cycle.ok());
+  const std::string cycle_plan = ExplainQuery(*cycle, g, stats);
+  EXPECT_NE(cycle_plan.find("  check (a:Job)-[:WRITES_TO]->(f:File)\n"),
+            std::string::npos)
+      << cycle_plan;
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ PropertyGraph RandomGraph(std::mt19937_64& rng) {
 // ---------------------------------------------------------------------------
 
 Result<PropertyValue> RefValue(const PropertyGraph& g, const Table& in,
-                               const Table::Row& row, const ColumnRef& ref) {
+                               Table::RowView row, const ColumnRef& ref) {
   if (!ref.property.empty()) {
     const int direct = in.FindColumn(ref.ToString());
     if (direct >= 0) return row[direct];
@@ -120,11 +120,11 @@ struct ValuesLess {
 
 PropertyValue RefAggregate(const PropertyGraph& g, const Table& in,
                            const SelectItem& item,
-                           const std::vector<const Table::Row*>& rows) {
+                           const std::vector<Table::RowView>& rows) {
   if (item.star) return PropertyValue(static_cast<int64_t>(rows.size()));
   std::vector<PropertyValue> values;
-  for (const Table::Row* row : rows) {
-    PropertyValue v = RefValue(g, in, *row, item.ref).value();
+  for (Table::RowView row : rows) {
+    PropertyValue v = RefValue(g, in, row, item.ref).value();
     if (!v.is_null()) values.push_back(std::move(v));
   }
   if (item.agg == AggFunc::kCount) {
@@ -165,14 +165,14 @@ PropertyValue RefAggregate(const PropertyGraph& g, const Table& in,
 
 /// One SELECT layer over `in`.
 Table RefSelect(const PropertyGraph& g, const SelectQuery& s, const Table& in) {
-  std::vector<const Table::Row*> rows;
-  for (const Table::Row& row : in.rows()) {
+  std::vector<Table::RowView> rows;
+  for (Table::RowView row : in.rows()) {
     bool pass = true;
     for (const Condition& c : s.where) {
       pass = pass && EvaluateCompare(c.op, RefValue(g, in, row, c.lhs).value(),
                                      c.rhs);
     }
-    if (pass) rows.push_back(&row);
+    if (pass) rows.push_back(row);
   }
   bool aggregates = false;
   std::vector<Column> columns;
@@ -186,28 +186,28 @@ Table RefSelect(const PropertyGraph& g, const SelectQuery& s, const Table& in) {
   }
   Table out(std::move(columns));
   if (!aggregates && s.group_by.empty()) {
-    for (const Table::Row* row : rows) {
+    for (Table::RowView row : rows) {
       Table::Row out_row;
       for (const SelectItem& item : s.items) {
-        out_row.push_back(RefValue(g, in, *row, item.ref).value());
+        out_row.push_back(RefValue(g, in, row, item.ref).value());
       }
       out.AddRow(std::move(out_row));
     }
     return out;
   }
   std::map<std::vector<PropertyValue>, size_t, ValuesLess> index;
-  std::vector<std::vector<const Table::Row*>> groups;
-  for (const Table::Row* row : rows) {
+  std::vector<std::vector<Table::RowView>> groups;
+  for (Table::RowView row : rows) {
     std::vector<PropertyValue> key;
     for (const ColumnRef& ref : s.group_by) {
-      key.push_back(RefValue(g, in, *row, ref).value());
+      key.push_back(RefValue(g, in, row, ref).value());
     }
     auto [it, added] = index.emplace(std::move(key), groups.size());
     if (added) groups.emplace_back();
     groups[it->second].push_back(row);
   }
   if (s.group_by.empty() && groups.empty()) groups.emplace_back();
-  for (const std::vector<const Table::Row*>& members : groups) {
+  for (const std::vector<Table::RowView>& members : groups) {
     Table::Row out_row;
     for (const SelectItem& item : s.items) {
       if (item.agg != AggFunc::kNone) {
@@ -215,7 +215,7 @@ Table RefSelect(const PropertyGraph& g, const SelectQuery& s, const Table& in) {
       } else if (members.empty()) {
         out_row.emplace_back();
       } else {
-        out_row.push_back(RefValue(g, in, *members[0], item.ref).value());
+        out_row.push_back(RefValue(g, in, members[0], item.ref).value());
       }
     }
     out.AddRow(std::move(out_row));

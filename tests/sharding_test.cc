@@ -23,6 +23,7 @@
 #include "graph/delta.h"
 #include "graph/property_graph.h"
 #include "query/executor.h"
+#include "table_test_util.h"
 
 namespace kaskade {
 namespace {
@@ -135,7 +136,8 @@ TEST(ShardingTest, ShardedBackendsMatchUnshardedAcrossMutations) {
               << text << " shards=" << shards << " workers=" << workers
               << " step " << step;
           for (size_t r = 0; r < expected->num_rows(); ++r) {
-            ASSERT_EQ(expected->rows()[r], got->rows()[r])
+            ASSERT_EQ(testutil::OwnedRow(expected->rows()[r]),
+                      testutil::OwnedRow(got->rows()[r]))
                 << text << " row " << r << " shards=" << shards
                 << " workers=" << workers << " step " << step;
           }
@@ -193,7 +195,8 @@ TEST(ShardingTest, EngineShardedMatchesUnshardedWithFusion) {
         ASSERT_EQ(expected->table.num_rows(), got->table.num_rows())
             << text << " shards=" << shards << " step " << step;
         for (size_t r = 0; r < expected->table.num_rows(); ++r) {
-          ASSERT_EQ(expected->table.rows()[r], got->table.rows()[r])
+          ASSERT_EQ(testutil::OwnedRow(expected->table.rows()[r]),
+                    testutil::OwnedRow(got->table.rows()[r]))
               << text << " row " << r << " shards=" << shards << " step "
               << step;
         }
@@ -208,8 +211,8 @@ TEST(ShardingTest, EngineShardedMatchesUnshardedWithFusion) {
                   got_batch[m]->table.num_rows())
             << "member " << m << " shards=" << shards;
         for (size_t r = 0; r < expected_batch[m]->table.num_rows(); ++r) {
-          ASSERT_EQ(expected_batch[m]->table.rows()[r],
-                    got_batch[m]->table.rows()[r])
+          ASSERT_EQ(testutil::OwnedRow(expected_batch[m]->table.rows()[r]),
+                    testutil::OwnedRow(got_batch[m]->table.rows()[r]))
               << "member " << m << " row " << r << " shards=" << shards;
         }
       }

@@ -18,12 +18,26 @@ namespace kaskade::testutil {
 inline std::multiset<std::vector<int64_t>> CanonicalRows(
     const query::Table& t) {
   std::multiset<std::vector<int64_t>> rows;
-  for (const query::Table::Row& row : t.rows()) {
+  for (const auto& row : t.rows()) {
     std::vector<int64_t> r;
     r.reserve(row.size());
     for (const graph::PropertyValue& v : row) r.push_back(v.as_int());
     rows.insert(std::move(r));
   }
+  return rows;
+}
+
+/// One row of a table as an owned row, so rows of two tables compare
+/// with `==` and print in gtest messages.
+inline query::Table::Row OwnedRow(query::Table::RowView row) {
+  return query::Table::Row(row.begin(), row.end());
+}
+
+/// Every row of `t` as an owned row, in table order (row order counts).
+inline std::vector<query::Table::Row> OwnedRows(const query::Table& t) {
+  std::vector<query::Table::Row> rows;
+  rows.reserve(t.num_rows());
+  for (const auto& row : t.rows()) rows.push_back(OwnedRow(row));
   return rows;
 }
 
