@@ -69,12 +69,21 @@ struct Gate {
 // run 2.5x the committed figure pass, which spans that host's spread
 // with room for a slower CI runner, and still fails a return to
 // per-row allocation.
+//
+// Fusion's `batch_speedup` (a 100-query same-shape batch, solo / fused
+// wall time) is a same-process ratio too. Seven Release runs on a 4-vCPU
+// VM read 1.20-1.51 with the indexed equality probe, and six of the
+// per-member compare loop it replaced 0.87-1.13. Most of that batch is
+// per-member parse and plan time, which fusion does not share, so the
+// ratio sits close to 1 and moves with host noise; the tolerance spans
+// the spread and fails a fused batch that falls back well below solo.
 constexpr Gate kGates[] = {
     {"query_latency", "*", "*_csr_speedup", Better::kHigher, 0.6},
     {"query_latency", "select", "q1_select_overhead", Better::kLower, 0.4},
     {"query_latency", "view_read", "q2_engine_overhead", Better::kLower, 0.3},
     {"query_latency", "view_read", "q2_table_ns_per_row", Better::kLower, 1.5},
     {"query_latency", "fusion", "expansion_ratio", Better::kHigher, 0.1},
+    {"query_latency", "fusion", "batch_speedup", Better::kHigher, 0.3},
     {"query_latency", "*", "*_scaling", Better::kHigher, 0.6,
      /*needs_threads=*/true},
     {"delta_maintenance", "*", "speedup", Better::kHigher, 0.8},

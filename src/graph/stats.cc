@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace kaskade::graph {
 
@@ -17,20 +18,20 @@ double SortedPercentile(const std::vector<size_t>& sorted, double alpha) {
   return static_cast<double>(sorted[idx]);
 }
 
-TypeDegreeSummary Summarize(const std::string& name,
-                            std::vector<size_t>* degrees) {
+}  // namespace
+
+TypeDegreeSummary SummarizeDegrees(const std::string& name,
+                                   std::vector<size_t> degrees) {
   TypeDegreeSummary s;
   s.type_name = name;
-  s.vertex_count = degrees->size();
-  std::sort(degrees->begin(), degrees->end());
-  s.p50 = SortedPercentile(*degrees, 50);
-  s.p90 = SortedPercentile(*degrees, 90);
-  s.p95 = SortedPercentile(*degrees, 95);
-  s.p100 = SortedPercentile(*degrees, 100);
+  s.vertex_count = degrees.size();
+  std::sort(degrees.begin(), degrees.end());
+  s.p50 = SortedPercentile(degrees, 50);
+  s.p90 = SortedPercentile(degrees, 90);
+  s.p95 = SortedPercentile(degrees, 95);
+  s.p100 = SortedPercentile(degrees, 100);
   return s;
 }
-
-}  // namespace
 
 double TypeDegreeSummary::Percentile(double alpha) const {
   if (alpha <= 50) return p50;
@@ -58,11 +59,11 @@ GraphStats GraphStats::Compute(const PropertyGraph& graph) {
   }
   stats.per_type_.reserve(num_types);
   for (size_t t = 0; t < num_types; ++t) {
-    stats.per_type_.push_back(Summarize(
+    stats.per_type_.push_back(SummarizeDegrees(
         graph.schema().vertex_type_name(static_cast<VertexTypeId>(t)),
-        &degrees_by_type[t]));
+        std::move(degrees_by_type[t])));
   }
-  stats.overall_ = Summarize("*", &all_degrees);
+  stats.overall_ = SummarizeDegrees("*", std::move(all_degrees));
   return stats;
 }
 

@@ -35,6 +35,11 @@ struct TypeDegreeSummary {
   double Percentile(double alpha) const;
 };
 
+/// Summarizes one degree per vertex (out-, in- or per-edge-type degree;
+/// the summary only sees the numbers) under `name`.
+TypeDegreeSummary SummarizeDegrees(const std::string& name,
+                                   std::vector<size_t> degrees);
+
 /// \brief Per-type degree statistics for a graph.
 ///
 /// Built once after loading (and after updates, in the paper's design); a

@@ -5,8 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <type_traits>
@@ -28,6 +26,8 @@ using graph::VertexTypeId;
 
 using internal::CancelGuard;
 using internal::CsrTraversal;
+using internal::HashValue;
+using internal::Mix64;
 using internal::NodeAccepts;
 using internal::ResolvedMatch;
 using internal::ResolvedPattern;
@@ -913,40 +913,9 @@ struct Accumulator {
 };
 static_assert(std::is_trivially_copyable_v<Accumulator>);
 
-/// splitmix64's finalizer: every input bit reaches every output bit, so
-/// the low bits a table index keeps are as spread as the high ones.
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-/// Hash consistent with `GroupValueEquals`: numbers hash by their value
-/// as a double, so int 7 and double 7.0 meet; -0.0 hashes as 0.0 and
-/// every NaN alike. The other types carry a tag so that, say, the
-/// string "7" and the int 7 rarely share a hash.
-uint64_t HashValue(const PropertyValue& v) {
-  if (v.is_numeric()) {
-    double d = v.ToDouble();
-    if (d == 0) d = 0;  // folds -0.0
-    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
-    uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    return Mix64(bits);
-  }
-  if (v.is_string()) {
-    return Mix64(std::hash<std::string>{}(v.as_string()) ^
-                 0x9e3779b97f4a7c15ULL);
-  }
-  if (v.is_bool()) return Mix64(v.as_bool() ? 0x2545f4914f6cdd1dULL : 1);
-  return Mix64(0x632be59bd9b4e019ULL);  // null
-}
-
 /// Group-key equality: `PropertyValue::operator==`, under which int 7
-/// and double 7.0 are one value, except that NaN groups with NaN.
+/// and double 7.0 are one value, except that NaN groups with NaN (which
+/// `HashValue` hashes alike).
 bool GroupValueEquals(const PropertyValue& a, const PropertyValue& b) {
   return a == b || (a.is_double() && b.is_double() &&
                     std::isnan(a.as_double()) && std::isnan(b.as_double()));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -16,6 +17,30 @@ namespace {
 std::string NodeLabel(const MatchQuery& match, int slot) {
   const NodePattern& node = match.nodes[slot];
   return "(" + node.name + (node.type.empty() ? "" : ":" + node.type) + ")";
+}
+
+/// In-degrees over edges of `edge_type` (any type when invalid) of the
+/// live vertices `node` admits: the fan-out of walking such an edge
+/// backward onto `node`'s peers. `GraphStats` keeps out-degrees only, so
+/// EXPLAIN computes this on demand.
+graph::TypeDegreeSummary InDegreeSummary(
+    const graph::PropertyGraph& graph,
+    const internal::ResolvedPattern::Node& node, graph::EdgeTypeId edge_type) {
+  std::vector<size_t> degrees;
+  for (graph::VertexId v = 0; v < graph.NumVertices(); ++v) {
+    if (!graph.IsVertexLive(v)) continue;
+    if (node.has_type_constraint && graph.VertexType(v) != node.type) continue;
+    if (edge_type == graph::kInvalidTypeId) {
+      degrees.push_back(graph.InDegree(v));
+      continue;
+    }
+    size_t degree = 0;
+    for (graph::EdgeId e : graph.InEdges(v)) {
+      degree += graph.Edge(e).type == edge_type;
+    }
+    degrees.push_back(degree);
+  }
+  return graph::SummarizeDegrees(node.name, std::move(degrees));
 }
 
 void ExplainMatch(const MatchQuery& match, const graph::PropertyGraph& graph,
@@ -61,7 +86,8 @@ void ExplainMatch(const MatchQuery& match, const graph::PropertyGraph& graph,
               "\n";
       continue;
     }
-    if (bound[resolved_edge.from]) {
+    const bool forward = bound[resolved_edge.from];
+    if (forward) {
       *out += indent + "  expand -[" + label + "]-> " +
               NodeLabel(match, resolved_edge.to) + "  ";
     } else {
@@ -74,10 +100,15 @@ void ExplainMatch(const MatchQuery& match, const graph::PropertyGraph& graph,
       *out += std::to_string(edge.max_hops) + " bounded graph sweeps\n";
       continue;
     }
+    // Forward: the out-degree of `from`'s type. Backward: the in-degree
+    // of `to`'s type over this edge's type.
     const internal::ResolvedPattern::Node& from =
         pattern.nodes[resolved_edge.from];
-    const graph::TypeDegreeSummary& summary =
-        from.has_type_constraint ? stats.ForType(from.type) : stats.overall();
+    const graph::TypeDegreeSummary summary =
+        forward ? (from.has_type_constraint ? stats.ForType(from.type)
+                                            : stats.overall())
+                : InDegreeSummary(graph, pattern.nodes[resolved_edge.to],
+                                  resolved_edge.type);
     char buf[32];
     std::snprintf(buf, sizeof(buf), "x%.1f\n",
                   std::max(summary.Percentile(options.degree_alpha),

@@ -36,7 +36,11 @@ namespace kaskade::query {
 /// first one written, and each step says its direction: `-[...]->
 /// (to)` walks an edge forward from a bound `from`, `<-[...]- (from)`
 /// walks it backward from a bound `to`, and `check (a)-[...]->(b)` is
-/// a cycle-closing edge between bound nodes. A pattern that does not
+/// a cycle-closing edge between bound nodes. A fixed-length expansion's
+/// `xN` is its fan-out at the cost model's degree percentile
+/// (`degree_alpha`): the out-degree of `from`'s type when the step walks
+/// forward, the in-degree of `to`'s type over the step's edge type when
+/// it walks backward. A pattern that does not
 /// resolve against `graph` (an unknown type, say) prints `unresolved:`
 /// and the reason instead.
 ///

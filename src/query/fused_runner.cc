@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -28,14 +29,97 @@ using internal::StepScratch;
 
 namespace {
 
+/// \brief The members of one `=` conjunct, looked up by value: each
+/// distinct constant maps to the mask of members that carry it, so
+/// binding a vertex costs one hash probe however many members the group
+/// has. The hash is `HashValue`, which agrees with
+/// `PropertyValue::operator==`: ints and doubles meet by value and -0.0
+/// meets 0.0. A probe confirms each candidate with `operator==` and
+/// takes the union of every constant equal to the value, since that
+/// equality is not transitive across types (the double 2^53 equals both
+/// the int 2^53 and the int 2^53 + 1). A NaN constant equals nothing
+/// and is left out; a null constant is an ordinary entry, met by a
+/// vertex that lacks the property, as `EvaluateCompare` meets it.
+class EqualityIndex {
+ public:
+  EqualityIndex() = default;
+  EqualityIndex(const std::vector<PropertyValue>& constants, size_t words)
+      : words_(words) {
+    slots_.assign(std::bit_ceil(std::max<size_t>(8, 8 * constants.size())),
+                  0);
+    const size_t wrap = slots_.size() - 1;
+    for (size_t m = 0; m < constants.size(); ++m) {
+      const PropertyValue& c = constants[m];
+      if (c.is_double() && std::isnan(c.as_double())) continue;
+      const uint64_t hash = internal::HashValue(c);
+      size_t i = hash & wrap;
+      // Same-type equal constants share an entry: within one type
+      // `operator==` is an equivalence once NaN is out.
+      while (slots_[i] != 0) {
+        const Entry& e = entries_[slots_[i] - 1];
+        if (e.hash == hash && e.constant == c &&
+            e.constant.is_int() == c.is_int()) {
+          break;
+        }
+        i = (i + 1) & wrap;
+      }
+      if (slots_[i] == 0) {
+        entries_.push_back(Entry{c, hash});
+        member_masks_.resize(entries_.size() * words_, 0);
+        slots_[i] = static_cast<uint32_t>(entries_.size());
+      }
+      uint64_t* members = &member_masks_[(slots_[i] - 1) * words_];
+      members[m / 64] |= uint64_t(1) << (m % 64);
+    }
+  }
+
+  /// Clears from `mask` every member whose constant is not equal to
+  /// `value`. `hits` is `words` entries of scratch.
+  void Narrow(const PropertyValue& value, uint64_t* mask,
+              uint64_t* hits) const {
+    const uint64_t hash = internal::HashValue(value);
+    const size_t wrap = slots_.size() - 1;
+    bool found = false;
+    for (size_t i = hash & wrap; slots_[i] != 0; i = (i + 1) & wrap) {
+      const Entry& e = entries_[slots_[i] - 1];
+      if (e.hash != hash || !(value == e.constant)) continue;
+      const uint64_t* members = &member_masks_[(slots_[i] - 1) * words_];
+      for (size_t w = 0; w < words_; ++w) {
+        hits[w] = found ? hits[w] | members[w] : members[w];
+      }
+      found = true;
+    }
+    for (size_t w = 0; w < words_; ++w) {
+      mask[w] = found ? mask[w] & hits[w] : 0;
+    }
+  }
+
+ private:
+  struct Entry {
+    PropertyValue constant;
+    uint64_t hash;
+  };
+  size_t words_ = 0;
+  std::vector<Entry> entries_;
+  /// `words_` mask words per entry: the members carrying its constant.
+  std::vector<uint64_t> member_masks_;
+  /// Open-addressed, at most one eighth full, so a probe for a value no
+  /// member wants mostly ends at its first slot: entry index + 1, 0 when
+  /// empty.
+  std::vector<uint32_t> slots_;
+};
+
 /// One WHERE conjunct of the group with its constant lifted into a
 /// per-member binding vector: the structure (lhs property, operator) is
 /// shared by every member — that is what the plan shape guarantees —
-/// and `rhs[m]` is member m's constant.
+/// and `rhs[m]` is member m's constant. An `=` conjunct also indexes
+/// its constants (`equal`), so it is tested with one probe instead of
+/// one comparison per member.
 struct FusedCondition {
   std::string property;
   CompareOp op = CompareOp::kEq;
   std::vector<PropertyValue> rhs;
+  EqualityIndex equal;
 };
 
 /// \brief The shared-traversal backtracker. Mirrors `CsrMatchRunner`
@@ -71,6 +155,7 @@ class FusedMatchRunner {
       root_mask_[m / 64] |= uint64_t(1) << (m % 64);
     }
     failed_.assign(words_, 0);
+    hits_.assign(words_, 0);
     member_errors_.assign(num_members, Status::OK());
     member_rows_.reserve(num_members);
     for (size_t m = 0; m < num_members; ++m) {
@@ -127,10 +212,12 @@ class FusedMatchRunner {
   }
 
   /// Binding `v` to `slot`: the shared type constraint first (clears
-  /// everyone at once), then each conjunct fetches the property value
-  /// once and compares it against every still-alive member's constant.
-  /// Writes the narrowed mask into `out`; returns false (and leaves
-  /// `out` unspecified) when no member survives.
+  /// everyone at once), then each conjunct reads the property value once,
+  /// in place. An `=` conjunct probes its constant index once and keeps
+  /// the members whose constant matched; any other operator compares the
+  /// value against every still-alive member's constant. Writes the
+  /// narrowed mask into `out`; returns false (and leaves `out`
+  /// unspecified) when no member survives.
   bool FusedAccept(size_t slot, VertexId v, const uint64_t* in,
                    uint64_t* out) {
     const ResolvedPattern::Node& n = rm_.pattern.nodes[slot];
@@ -142,19 +229,25 @@ class FusedMatchRunner {
     }
     if (any == 0) return false;
     for (const FusedCondition& cond : slot_conditions_[slot]) {
-      PropertyValue value = graph_.VertexProperty(v, cond.property);
-      any = 0;
-      for (size_t w = 0; w < words_; ++w) {
-        uint64_t bits = out[w];
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          if (!EvaluateCompare(cond.op, value, cond.rhs[w * 64 + size_t(b)])) {
-            out[w] &= ~(uint64_t(1) << b);
+      const PropertyValue& value =
+          internal::VertexPropertyRef(graph_, v, cond.property);
+      if (cond.op == CompareOp::kEq) {
+        cond.equal.Narrow(value, out, hits_.data());
+      } else {
+        for (size_t w = 0; w < words_; ++w) {
+          uint64_t bits = out[w];
+          while (bits != 0) {
+            const int b = std::countr_zero(bits);
+            bits &= bits - 1;
+            if (!EvaluateCompare(cond.op, value,
+                                 cond.rhs[w * 64 + size_t(b)])) {
+              out[w] &= ~(uint64_t(1) << b);
+            }
           }
         }
-        any |= out[w];
       }
+      any = 0;
+      for (size_t w = 0; w < words_; ++w) any |= out[w];
       if (any == 0) return false;
     }
     return true;
@@ -317,6 +410,8 @@ class FusedMatchRunner {
   std::vector<std::vector<uint64_t>> masks_;
   std::vector<uint64_t> root_mask_;
   std::vector<uint64_t> failed_;
+  /// Scratch for `EqualityIndex::Narrow`.
+  std::vector<uint64_t> hits_;
   std::vector<Status> member_errors_;
   std::vector<RowSet> member_rows_;
   uint64_t expansions_ = 0;
@@ -327,7 +422,8 @@ class FusedMatchRunner {
 /// (slot, position) exactly as `ResolvePattern` assigned them — by
 /// walking `where` in order — so member m's k-th conjunct on a slot
 /// lines up with member 0's. Structure mismatches mean the caller
-/// grouped queries that do not share a shape.
+/// grouped queries that do not share a shape. Each `=` conjunct then
+/// indexes its constants, once per group.
 Status LiftConstants(const ResolvedMatch& rm,
                      const std::vector<const MatchQuery*>& members,
                      std::vector<std::vector<FusedCondition>>* slot_conditions) {
@@ -362,6 +458,14 @@ Status LiftConstants(const ResolvedMatch& rm,
       if (cursor[s] != (*slot_conditions)[s].size()) {
         return Status::Internal(
             "fused group members do not share one plan shape");
+      }
+    }
+  }
+  const size_t words = (members.size() + 63) / 64;
+  for (std::vector<FusedCondition>& conditions : *slot_conditions) {
+    for (FusedCondition& fused : conditions) {
+      if (fused.op == CompareOp::kEq) {
+        fused.equal = EqualityIndex(fused.rhs, words);
       }
     }
   }

@@ -11,11 +11,20 @@
 /// shares one plan, one seed enumeration, and one candidate gather per
 /// expansion step. The fused runner walks that shared tree exactly once,
 /// carrying a per-member *alive bitmask*: binding a vertex to a slot
-/// evaluates each member's constants against the (once-fetched) property
-/// value and clears the bits of members the binding fails, so a member
-/// that fails a constant check stops paying for deeper expansions; a
-/// subtree with no alive member is pruned outright. Rows are split per
-/// member at emit time.
+/// reads each conjunct's property value once, in place, and clears the
+/// bits of members the binding fails, so a member that fails a constant
+/// check stops paying for deeper expansions; a subtree with no alive
+/// member is pruned outright. Rows are split per member at emit time.
+///
+/// An `=` conjunct is one hash probe per binding, not one comparison
+/// per member: the group indexes its members' constants once, mapping
+/// each constant to the mask of members that carry it, under a hash
+/// that agrees with `PropertyValue::operator==` (ints and doubles meet
+/// by value, -0.0 meets 0.0; a NaN constant matches nothing; a null
+/// constant matches a vertex without the property). A seed scan thus
+/// costs about one solo lookup's scan however large the group. The
+/// other operators compare the value against each alive member's
+/// constant.
 ///
 /// Identity guarantee: each member's output table is byte-identical to
 /// its solo sequential run — same rows, same order. A member's solo DFS

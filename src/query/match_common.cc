@@ -199,7 +199,8 @@ bool NodeAccepts(const PropertyGraph& graph, const ResolvedPattern& pattern,
   const ResolvedPattern::Node& n = pattern.nodes[slot];
   if (n.has_type_constraint && graph.VertexType(v) != n.type) return false;
   for (const Condition& cond : pattern.node_conditions[slot]) {
-    if (!EvaluateCompare(cond.op, graph.VertexProperty(v, cond.lhs.property),
+    if (!EvaluateCompare(cond.op,
+                         VertexPropertyRef(graph, v, cond.lhs.property),
                          cond.rhs)) {
       return false;
     }

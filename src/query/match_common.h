@@ -23,8 +23,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -219,10 +222,80 @@ std::vector<Step> PlanMatchOrder(const graph::PropertyGraph& graph,
 Result<ResolvedMatch> ResolveMatch(const graph::PropertyGraph& graph,
                                    const MatchQuery& match);
 
-/// Type constraint + WHERE conditions for binding `v` to `slot`.
+/// Type constraint + WHERE conditions for binding `v` to `slot`. Reads
+/// each property in place (`VertexPropertyRef`).
 bool NodeAccepts(const graph::PropertyGraph& graph,
                  const ResolvedPattern& pattern, size_t slot,
                  graph::VertexId v);
+
+/// The null value an absent property reads as.
+inline const graph::PropertyValue kNullProperty;
+
+/// Vertex `v`'s value of `key`, read in place: no copy of a string
+/// value. A vertex without the property reads as null, as
+/// `PropertyGraph::VertexProperty` does.
+inline const graph::PropertyValue& VertexPropertyRef(
+    const graph::PropertyGraph& graph, graph::VertexId v,
+    const std::string& key) {
+  const graph::PropertyValue* value = graph.VertexProperties(v).Find(key);
+  return value != nullptr ? *value : kNullProperty;
+}
+
+/// splitmix64's finalizer: every input bit reaches every output bit, so
+/// the low bits a table index keeps are as spread as the high ones.
+inline uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
+/// Hash consistent with `PropertyValue::operator==`: numbers hash by
+/// their value as a double, so int 7 and double 7.0 meet; -0.0 hashes as
+/// 0.0 and every NaN alike. The other types carry a tag so that, say,
+/// the string "7" and the int 7 rarely share a hash. Every bit is mixed,
+/// so a table may index by the low ones. Shared by SELECT's group table
+/// and the fused runner's constant index, which both confirm a hash
+/// match with an equality test; inline, since the fused runner calls it
+/// once per candidate vertex.
+inline uint64_t HashValue(const graph::PropertyValue& v) {
+  if (v.is_string()) {
+    const std::string& s = v.as_string();
+    const size_t n = s.size();
+    if (n > 16) {
+      return Mix64(std::hash<std::string>{}(s) ^ 0x9e3779b97f4a7c15ULL);
+    }
+    // Up to 16 bytes: the first and the last 8 (overlapping, or one
+    // zero-padded word below 8) and the length cover every byte. Three
+    // independent multiplies cost a fraction of a byte-wise hash or of
+    // two chained `Mix64`s; the final fold carries the well-mixed high
+    // bits into the low ones.
+    uint64_t head = 0;
+    uint64_t tail = 0;
+    if (n >= 8) {
+      std::memcpy(&head, s.data(), 8);
+      std::memcpy(&tail, s.data() + n - 8, 8);
+    } else {
+      std::memcpy(&head, s.data(), n);
+    }
+    const uint64_t h = head * 0x9e3779b97f4a7c15ULL ^
+                       tail * 0xbf58476d1ce4e5b9ULL ^
+                       (n + 1) * 0x94d049bb133111ebULL;
+    return h ^ (h >> 32);
+  }
+  if (v.is_numeric()) {
+    double d = v.ToDouble();
+    if (d == 0) d = 0;  // folds -0.0
+    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    return Mix64(bits);
+  }
+  if (v.is_bool()) return Mix64(v.as_bool() ? 0x2545f4914f6cdd1dULL : 1);
+  return Mix64(0x632be59bd9b4e019ULL);  // null
+}
 
 /// \brief Row sink: flat integer row storage, kept in insertion order.
 /// A deduplicating set also keeps an open-addressed index keyed by row

@@ -17,7 +17,10 @@
 #     once the committed ratio reached 1.5 / 1.3);
 #  7. and one whose Q2 result-table build time per row is doctored up to
 #     4 times the committed figure (one heap-allocated vector per row read
-#     5-12 times the flat cell array's figure).
+#     5-12 times the flat cell array's figure);
+#  8. and one whose fusion batch speedup is doctored down to 0.6 times the
+#     committed ratio (the per-member compare loop read 0.79-1.13 where
+#     the indexed equality probe reads 1.20-1.51).
 # Inputs: COMPARE (the binary), SOURCE_DIR (holding the committed JSONs),
 # WORK_DIR.
 
@@ -120,3 +123,9 @@ doctor(${latency} view_read q2_table_ns_per_row ${ns_per_row}
        query_latency.table.doctored.json)
 expect_exit(${latency} ${WORK_DIR}/query_latency.table.doctored.json 1
             "doctored Q2 table build time per row (${ns_per_row})")
+
+scaled_value(${latency} fusion batch_speedup 60 batch_speedup)
+doctor(${latency} fusion batch_speedup ${batch_speedup}
+       query_latency.fusion.doctored.json)
+expect_exit(${latency} ${WORK_DIR}/query_latency.fusion.doctored.json 1
+            "doctored fusion batch speedup (${batch_speedup})")

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -634,6 +635,260 @@ TEST(FusedRunnerTest, GroupMatchesSoloMemberByMember) {
     ASSERT_TRUE(fused_results[m].ok()) << kTexts[m];
     ExpectTablesIdentical(*expected, *fused_results[m], kTexts[m]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fused predicate semantics: an `=` conjunct is tested by one probe of the
+// group's constant index, every other operator member by member. Each
+// member must still see exactly what `EvaluateCompare` gives its solo run.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kTwo53 = int64_t(1) << 53;
+
+/// Jobs whose `v` covers every kind of value (and a job without it),
+/// each writing to two files; `w` is a second, int-valued property.
+PropertyGraph ValueGraph() {
+  GraphSchema schema;
+  schema.AddVertexType("Job");
+  schema.AddVertexType("File");
+  EXPECT_TRUE(schema.AddEdgeType("WRITES_TO", "Job", "File").ok());
+  PropertyGraph g(std::move(schema));
+  const std::vector<PropertyValue> values = {
+      PropertyValue(int64_t{7}),
+      PropertyValue(7.0),
+      PropertyValue(0.0),
+      PropertyValue(-0.0),
+      PropertyValue(int64_t{0}),
+      PropertyValue(std::nan("")),
+      PropertyValue(true),
+      PropertyValue(false),
+      PropertyValue("a"),
+      PropertyValue("7"),
+      PropertyValue("person_1"),
+      PropertyValue("a string longer than sixteen bytes"),
+      PropertyValue(kTwo53),
+      PropertyValue(kTwo53 + 1),
+      PropertyValue(static_cast<double>(kTwo53)),
+      PropertyValue(),  // an explicit null
+  };
+  std::vector<VertexId> files;
+  for (int i = 0; i < 5; ++i) files.push_back(g.AddVertex("File").value());
+  int64_t w = 0;
+  auto add_job = [&](PropertyMap props) {
+    props.Set("w", PropertyValue(w++ % 4));
+    const VertexId job = g.AddVertex("Job", std::move(props)).value();
+    EXPECT_TRUE(g.AddEdge(job, files[job % 5], "WRITES_TO").ok());
+    EXPECT_TRUE(g.AddEdge(job, files[(job + 2) % 5], "WRITES_TO").ok());
+  };
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const PropertyValue& v : values) {
+      PropertyMap props;
+      props.Set("v", v);
+      add_job(std::move(props));
+    }
+    add_job(PropertyMap());  // no `v` at all
+  }
+  return g;
+}
+
+/// One parsed copy of `text` per constant, with the `index`-th WHERE
+/// conjunct's constant replaced by it (the parser has no NaN literal).
+std::vector<query::Query> WithConstants(
+    const std::string& text, const std::vector<PropertyValue>& constants,
+    size_t index = 0) {
+  std::vector<query::Query> queries;
+  for (const PropertyValue& c : constants) {
+    auto q = query::ParseQueryText(text);
+    EXPECT_TRUE(q.ok()) << text;
+    if (!q.ok()) return {};
+    q->match().where.at(index).rhs = c;
+    queries.push_back(std::move(*q));
+  }
+  return queries;
+}
+
+/// Runs `queries` as one fused group, unsharded and over two shards,
+/// and checks every member's table against its solo CSR run, row for
+/// row. Returns the solo row counts, so callers can check the group is
+/// not trivially empty.
+std::vector<size_t> ExpectFusedEqualsSolo(
+    const PropertyGraph& g, const std::vector<query::Query>& queries) {
+  const graph::CsrGraph csr = graph::CsrGraph::Build(g);
+  std::vector<const query::MatchQuery*> members;
+  for (const query::Query& q : queries) members.push_back(&q.match());
+  query::QueryExecutor solo(&g, &csr);
+  std::vector<query::Table> expected;
+  std::vector<size_t> counts;
+  for (const query::Query& q : queries) {
+    auto table = solo.Execute(q);
+    EXPECT_TRUE(table.ok()) << q.ToString();
+    if (!table.ok()) return {};
+    counts.push_back(table->num_rows());
+    expected.push_back(std::move(*table));
+  }
+  for (size_t shards : {size_t{1}, size_t{2}}) {
+    query::ExecutorOptions options;
+    options.shards = shards;
+    auto fused = query::ExecuteFusedMatch(g, csr, members, options);
+    EXPECT_EQ(fused.size(), members.size());
+    if (fused.size() != members.size()) return {};
+    for (size_t m = 0; m < members.size(); ++m) {
+      const std::string context = "member " + std::to_string(m) + " (" +
+                                  queries[m].ToString() + "), " +
+                                  std::to_string(shards) + " shard(s)";
+      EXPECT_TRUE(fused[m].ok()) << context << ": " << fused[m].status();
+      if (!fused[m].ok()) continue;
+      ExpectTablesIdentical(expected[m], *fused[m], context);
+    }
+  }
+  return counts;
+}
+
+const char kValueQuery[] =
+    "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.v = 0 RETURN j, f";
+
+TEST(FusedRunnerTest, IntAndDoubleConstantsMeetByValue) {
+  const PropertyGraph g = ValueGraph();
+  const std::vector<size_t> rows = ExpectFusedEqualsSolo(
+      g, WithConstants(kValueQuery,
+                       {PropertyValue(int64_t{7}), PropertyValue(7.0),
+                        PropertyValue(int64_t{0}), PropertyValue(-0.0),
+                        PropertyValue(0.0), PropertyValue(int64_t{8}),
+                        PropertyValue(kTwo53), PropertyValue(kTwo53 + 1),
+                        PropertyValue(static_cast<double>(kTwo53))}));
+  ASSERT_EQ(rows.size(), 9u);
+  // int 7 and double 7.0 each meet both jobs of both copies.
+  EXPECT_EQ(rows[0], 8u);
+  EXPECT_EQ(rows[1], 8u);
+  // 0, -0.0 and 0.0 all meet the three zero-valued jobs of both copies.
+  EXPECT_EQ(rows[2], 12u);
+  EXPECT_EQ(rows[3], 12u);
+  EXPECT_EQ(rows[4], 12u);
+  EXPECT_EQ(rows[5], 0u);
+  // Equality is not transitive across types: the double 2^53 equals
+  // both ints, each int equals only itself and the double.
+  EXPECT_EQ(rows[6], 8u);
+  EXPECT_EQ(rows[7], 8u);
+  EXPECT_EQ(rows[8], 12u);
+}
+
+TEST(FusedRunnerTest, NanConstantMatchesNothing) {
+  const PropertyGraph g = ValueGraph();
+  const std::vector<size_t> rows = ExpectFusedEqualsSolo(
+      g, WithConstants(kValueQuery,
+                       {PropertyValue(std::nan("")), PropertyValue(7.0),
+                        PropertyValue(-std::nan(""))}));
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0], 0u);
+  EXPECT_GT(rows[1], 0u);
+  EXPECT_EQ(rows[2], 0u);
+}
+
+TEST(FusedRunnerTest, NullConstantMatchesVerticesWithoutTheProperty) {
+  const PropertyGraph g = ValueGraph();
+  const std::vector<size_t> rows = ExpectFusedEqualsSolo(
+      g, WithConstants(kValueQuery, {PropertyValue(), PropertyValue("a"),
+                                     PropertyValue()}));
+  ASSERT_EQ(rows.size(), 3u);
+  // The job without `v` and the one with an explicit null, per copy.
+  EXPECT_EQ(rows[0], 8u);
+  EXPECT_EQ(rows[1], 4u);
+  EXPECT_EQ(rows[2], 8u);
+}
+
+TEST(FusedRunnerTest, BoolAndStringConstants) {
+  const PropertyGraph g = ValueGraph();
+  const std::vector<size_t> rows = ExpectFusedEqualsSolo(
+      g, WithConstants(
+             kValueQuery,
+             {PropertyValue(true), PropertyValue(false), PropertyValue("a"),
+              PropertyValue("7"), PropertyValue("person_1"),
+              PropertyValue("person_2"),
+              PropertyValue("a string longer than sixteen bytes"),
+              PropertyValue("a string longer than sixteen bytez"),
+              PropertyValue("")}));
+  ASSERT_EQ(rows.size(), 9u);
+  const size_t kExpected[] = {4, 4, 4, 4, 4, 0, 4, 0, 0};
+  for (size_t m = 0; m < rows.size(); ++m) {
+    EXPECT_EQ(rows[m], kExpected[m]) << "member " << m;
+  }
+}
+
+TEST(FusedRunnerTest, OneConstantSharedByManyMembers) {
+  const PropertyGraph g = ValueGraph();
+  const std::vector<size_t> rows = ExpectFusedEqualsSolo(
+      g, WithConstants(kValueQuery,
+                       {PropertyValue("a"), PropertyValue(int64_t{7}),
+                        PropertyValue("a"), PropertyValue(int64_t{7}),
+                        PropertyValue("a"), PropertyValue(7.0)}));
+  ASSERT_EQ(rows.size(), 6u);
+  EXPECT_EQ(rows[0], 4u);
+  EXPECT_EQ(rows[1], 8u);
+  EXPECT_EQ(rows[5], 8u);
+}
+
+TEST(FusedRunnerTest, MixedConstantTypesInOneConjunct) {
+  const PropertyGraph g = ValueGraph();
+  const std::vector<size_t> rows = ExpectFusedEqualsSolo(
+      g, WithConstants(kValueQuery,
+                       {PropertyValue(int64_t{7}), PropertyValue("7"),
+                        PropertyValue(true), PropertyValue(), PropertyValue(0.0),
+                        PropertyValue(std::nan("")), PropertyValue("a"),
+                        PropertyValue(int64_t{1})}));
+  ASSERT_EQ(rows.size(), 8u);
+  // `true` is not the number 1.
+  EXPECT_EQ(rows[2], 4u);
+  EXPECT_EQ(rows[7], 0u);
+}
+
+// More than 64 members spread over two mask words; constants repeat, so
+// one index entry carries members of both words.
+TEST(FusedRunnerTest, GroupWiderThanOneMaskWord) {
+  const PropertyGraph g = ValueGraph();
+  const std::vector<PropertyValue> kinds = {
+      PropertyValue(int64_t{7}), PropertyValue("a"), PropertyValue(),
+      PropertyValue(false),      PropertyValue(0.0), PropertyValue("none"),
+      PropertyValue(kTwo53 + 1)};
+  std::vector<PropertyValue> constants;
+  for (size_t m = 0; m < 150; ++m) constants.push_back(kinds[m % kinds.size()]);
+  const std::vector<size_t> rows =
+      ExpectFusedEqualsSolo(g, WithConstants(kValueQuery, constants));
+  ASSERT_EQ(rows.size(), 150u);
+  EXPECT_EQ(rows[0], 8u);
+  EXPECT_EQ(rows[149], rows[149 % kinds.size()]);
+}
+
+// Operators other than `=` compare member by member; a group may mix
+// them with an `=` conjunct on the same vertex.
+TEST(FusedRunnerTest, NonEqualityOperators) {
+  const PropertyGraph g = ValueGraph();
+  const std::vector<PropertyValue> constants = {
+      PropertyValue(int64_t{7}), PropertyValue(0.0), PropertyValue("a"),
+      PropertyValue(),           PropertyValue(true), PropertyValue(std::nan(""))};
+  for (const char* op : {"<>", "<", "<=", ">", ">="}) {
+    const std::string text = std::string("MATCH (j:Job)-[:WRITES_TO]->(f:File) "
+                                         "WHERE j.v ") +
+                             op + " 0 RETURN j, f";
+    SCOPED_TRACE(text);
+    const std::vector<size_t> rows =
+        ExpectFusedEqualsSolo(g, WithConstants(text, constants));
+    ASSERT_EQ(rows.size(), constants.size());
+  }
+  // `=` on `w` (indexed) and `<` on `v` (per member) in one group.
+  std::vector<query::Query> queries;
+  for (int64_t w = 0; w < 5; ++w) {
+    std::vector<query::Query> one = WithConstants(
+        "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.w = 0 AND j.v < 0 "
+        "RETURN j, f",
+        {PropertyValue(w)});
+    ASSERT_EQ(one.size(), 1u);
+    one[0].match().where[1].rhs =
+        w % 2 == 0 ? PropertyValue(int64_t{8}) : PropertyValue("b");
+    queries.push_back(std::move(one[0]));
+  }
+  const std::vector<size_t> rows = ExpectFusedEqualsSolo(g, queries);
+  ASSERT_EQ(rows.size(), 5u);
+  EXPECT_EQ(rows[4], 0u);  // no job has w = 4
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -1090,6 +1092,66 @@ TEST(ExplainPlanTest, SeedsAndExpandsInTheExecutorsOrder) {
   EXPECT_NE(cycle_plan.find("  check (a:Job)-[:WRITES_TO]->(f:File)\n"),
             std::string::npos)
       << cycle_plan;
+}
+
+// A fixed-length step walked backward fans out by the in-degree of the
+// bound `to` type over the step's edge type, not by `from`'s out-degree.
+TEST(ExplainPlanTest, BackwardStepShowsInDegreeOverItsEdgeType) {
+  GraphSchema schema;
+  schema.AddVertexType("Job");
+  schema.AddVertexType("File");
+  EXPECT_TRUE(schema.AddEdgeType("WRITES_TO", "Job", "File").ok());
+  EXPECT_TRUE(schema.AddEdgeType("LINKS", "File", "File").ok());
+  PropertyGraph g(schema);
+  std::vector<VertexId> jobs;
+  std::vector<VertexId> files;
+  for (int i = 0; i < 6; ++i) jobs.push_back(g.AddVertex("Job").value());
+  for (int i = 0; i < 3; ++i) files.push_back(g.AddVertex("File").value());
+  auto add = [&](VertexId from, VertexId to, const char* type) {
+    EXPECT_TRUE(g.AddEdge(from, to, type).ok());
+  };
+  add(jobs[0], files[0], "WRITES_TO");
+  add(jobs[0], files[1], "WRITES_TO");
+  add(jobs[1], files[1], "WRITES_TO");
+  for (int i = 1; i < 6; ++i) add(jobs[i], files[2], "WRITES_TO");
+  // In-edges of another type, which the figure must not count.
+  add(files[0], files[2], "LINKS");
+  add(files[1], files[2], "LINKS");
+  add(files[0], files[1], "LINKS");
+
+  // 3 files, 6 jobs: the plan seeds at the file and walks WRITES_TO back.
+  auto q = ParseQueryText("MATCH (a:Job)-[:WRITES_TO]->(f:File) RETURN a, f");
+  ASSERT_TRUE(q.ok());
+  auto rm = internal::ResolveMatch(g, q->match());
+  ASSERT_TRUE(rm.ok());
+  ASSERT_EQ(rm->plan[0].node_slot, 1);  // f
+
+  // The files' WRITES_TO in-degrees at the cost model's percentile
+  // (nearest rank; 90 is one of the summary's exact points).
+  const CostModelOptions options;
+  ASSERT_EQ(options.degree_alpha, 90);
+  std::vector<size_t> in_degrees;
+  for (VertexId f : files) {
+    size_t degree = 0;
+    for (graph::EdgeId e : g.InEdges(f)) {
+      degree += g.EdgeTypeName(e) == "WRITES_TO";
+    }
+    in_degrees.push_back(degree);
+  }
+  std::sort(in_degrees.begin(), in_degrees.end());
+  const size_t rank = static_cast<size_t>(
+      std::ceil(options.degree_alpha / 100.0 * double(in_degrees.size())));
+  char expected[64];
+  std::snprintf(expected, sizeof(expected),
+                "  expand <-[:WRITES_TO]- (a:Job)  x%.1f\n",
+                double(in_degrees[rank - 1]));
+
+  const std::string plan =
+      ExplainQuery(*q, g, graph::GraphStats::Compute(g), options);
+  EXPECT_NE(plan.find("  seed (f:File)  3 vertices\n"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find(expected), std::string::npos)
+      << "want " << expected << "in\n" << plan;
 }
 
 }  // namespace
