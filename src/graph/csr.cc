@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -15,31 +14,26 @@ size_t VectorBytes(const V& v) {
   return v.size() * sizeof(typename V::value_type);
 }
 
-/// One slice entry: the canonical per-vertex order is
-/// (edge type, neighbor, edge id) — grouped by type so a typed
-/// expansion is one contiguous slice, sorted by neighbor within the
-/// type so filter edges (cycle closings) resolve by binary search,
-/// base insertion order surviving within (type, neighbor) because edge
-/// ids are distinct and ascend in insertion order.
-struct SliceEntry {
-  EdgeTypeId type;
-  VertexId nbr;
-  EdgeId id;
-};
+/// One slice entry as a sort key: edge type in the high half, neighbor
+/// in the low half. The canonical per-vertex order is (edge type,
+/// neighbor) — grouped by type so a typed expansion is one contiguous
+/// slice, sorted by neighbor within the type so filter edges (cycle
+/// closings) resolve by binary search. Parallel edges give equal keys,
+/// so the order is total on what a row stores.
+using SliceKey = uint64_t;
+static_assert(sizeof(EdgeTypeId) + sizeof(VertexId) <= sizeof(SliceKey));
 
 /// One side's arrays of a segment as member pointers: `kOut` selects
-/// the out-adjacency, else the in-adjacency (which keeps no per-edge
-/// types). Resolved at compile time, so the row writers below address
-/// fixed fields of one segment object; a writer that picked its arrays
-/// at run time made `Build` about 10% slower.
+/// the out-adjacency, else the in-adjacency. Resolved at compile time,
+/// so the row writers below address fixed fields of one segment object;
+/// a writer that picked its arrays at run time made `Build` about 10%
+/// slower.
 template <bool kOut>
 struct Side {
   static constexpr auto offsets =
       kOut ? &CsrSegment::out_offsets : &CsrSegment::in_offsets;
   static constexpr auto neighbors =
       kOut ? &CsrSegment::out_targets : &CsrSegment::in_sources;
-  static constexpr auto edge_ids =
-      kOut ? &CsrSegment::out_edge_ids : &CsrSegment::in_edge_ids;
   static constexpr auto dir_offsets =
       kOut ? &CsrSegment::out_type_dir_offsets
            : &CsrSegment::in_type_dir_offsets;
@@ -48,8 +42,8 @@ struct Side {
 };
 
 /// A segment for vertex ids `[seg_index << kCsrSegmentShift, ...)` of
-/// `g`, with its vertex types set and its offset arrays sized; the
-/// slices are left for `BuildSide` / `PatchSide` to fill.
+/// `g`, with its offset arrays sized; the slices are left for
+/// `BuildSide` / `PatchSide` to fill.
 std::shared_ptr<CsrSegment> NewSegment(const PropertyGraph& g,
                                        size_t seg_index) {
   auto seg = std::make_shared<CsrSegment>();
@@ -58,10 +52,6 @@ std::shared_ptr<CsrSegment> NewSegment(const PropertyGraph& g,
       std::min<size_t>(g.NumVertices() - first, kCsrSegmentVertices));
   seg->first_vertex = first;
   seg->num_vertices = count;
-  seg->vertex_types.resize(count);
-  for (uint32_t l = 0; l < count; ++l) {
-    seg->vertex_types[l] = g.VertexType(first + l);
-  }
   seg->out_offsets.assign(count + 1, 0);
   seg->out_type_dir_offsets.assign(count + 1, 0);
   seg->in_offsets.assign(count + 1, 0);
@@ -74,41 +64,37 @@ std::shared_ptr<CsrSegment> NewSegment(const PropertyGraph& g,
 /// in ascending `l`. `BuildSegment` and `PatchSegment` derive every row
 /// through here, and a row `CopyRows` copies is a row this wrote
 /// earlier, so every row holds the same bytes whichever routine
-/// produced the segment. `entries` is scratch reused across rows.
+/// produced the segment. `keys` is scratch reused across rows.
 template <bool kOut>
 void DeriveRow(const PropertyGraph& g, CsrSegment& seg, uint32_t l,
-               std::vector<SliceEntry>& entries) {
+               std::vector<SliceKey>& keys) {
   using S = Side<kOut>;
   const VertexId v = seg.first_vertex + l;
   // Live edges only; dead vertices have empty adjacency, so they keep
   // (empty) rows and base ids stay valid as CSR indices.
   const std::vector<EdgeId>& ids = kOut ? g.OutEdges(v) : g.InEdges(v);
-  entries.clear();
-  entries.reserve(ids.size());
+  keys.clear();
+  keys.reserve(ids.size());
   for (EdgeId e : ids) {
     const EdgeRecord& rec = g.Edge(e);
-    entries.push_back(SliceEntry{rec.type, kOut ? rec.target : rec.source, e});
+    keys.push_back(SliceKey{rec.type} << 32 |
+                   (kOut ? rec.target : rec.source));
   }
-  auto less = [](const SliceEntry& a, const SliceEntry& b) {
-    return std::tie(a.type, a.nbr, a.id) < std::tie(b.type, b.nbr, b.id);
-  };
-  if (!std::is_sorted(entries.begin(), entries.end(), less)) {
-    std::sort(entries.begin(), entries.end(), less);
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    std::sort(keys.begin(), keys.end());
   }
   std::vector<VertexId>& neighbors = seg.*S::neighbors;
   std::vector<CsrSegment::TypeDirEntry>& dirs = seg.*S::dirs;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const SliceEntry& ent = entries[i];
-    if (i == 0 || ent.type != entries[i - 1].type) {
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const EdgeTypeId type = static_cast<EdgeTypeId>(keys[i] >> 32);
+    if (i == 0 || type != static_cast<EdgeTypeId>(keys[i - 1] >> 32)) {
       dirs.push_back(CsrSegment::TypeDirEntry{
-          ent.type, static_cast<uint64_t>(neighbors.size())});
+          type, static_cast<CsrOffset>(neighbors.size())});
     }
-    neighbors.push_back(ent.nbr);
-    if constexpr (kOut) seg.out_edge_types.push_back(ent.type);
-    (seg.*S::edge_ids).push_back(ent.id);
+    neighbors.push_back(static_cast<VertexId>(keys[i]));
   }
-  (seg.*S::offsets)[l + 1] = neighbors.size();
-  (seg.*S::dir_offsets)[l + 1] = dirs.size();
+  (seg.*S::offsets)[l + 1] = static_cast<CsrOffset>(neighbors.size());
+  (seg.*S::dir_offsets)[l + 1] = static_cast<CsrOffset>(dirs.size());
 }
 
 /// Block-copies `prev`'s rows `[begin, end)` of one side as local rows
@@ -118,33 +104,30 @@ template <bool kOut>
 void CopyRows(const CsrSegment& prev, CsrSegment& seg, uint32_t begin,
               uint32_t end) {
   using S = Side<kOut>;
-  const std::vector<uint64_t>& src_offsets = prev.*S::offsets;
-  const uint64_t lo = src_offsets[begin];
-  const uint64_t hi = src_offsets[end];
+  const std::vector<CsrOffset>& src_offsets = prev.*S::offsets;
+  const CsrOffset lo = src_offsets[begin];
+  const CsrOffset hi = src_offsets[end];
   std::vector<VertexId>& neighbors = seg.*S::neighbors;
+  const std::vector<VertexId>& src_neighbors = prev.*S::neighbors;
   // Unsigned wrap-around makes a negative shift exact too.
-  const uint64_t shift = neighbors.size() - lo;
-  auto append = [lo, hi](auto& dst, const auto& src) {
-    dst.insert(dst.end(), src.begin() + lo, src.begin() + hi);
-  };
-  append(neighbors, prev.*S::neighbors);
-  if constexpr (kOut) append(seg.out_edge_types, prev.out_edge_types);
-  append(seg.*S::edge_ids, prev.*S::edge_ids);
-  std::vector<uint64_t>& offsets = seg.*S::offsets;
+  const CsrOffset shift = static_cast<CsrOffset>(neighbors.size()) - lo;
+  neighbors.insert(neighbors.end(), src_neighbors.begin() + lo,
+                   src_neighbors.begin() + hi);
+  std::vector<CsrOffset>& offsets = seg.*S::offsets;
   for (uint32_t l = begin; l < end; ++l) {
     offsets[l + 1] = src_offsets[l + 1] + shift;
   }
-  const std::vector<uint64_t>& src_dir_offsets = prev.*S::dir_offsets;
+  const std::vector<CsrOffset>& src_dir_offsets = prev.*S::dir_offsets;
   const std::vector<CsrSegment::TypeDirEntry>& src_dirs = prev.*S::dirs;
   std::vector<CsrSegment::TypeDirEntry>& dirs = seg.*S::dirs;
-  const uint64_t dir_lo = src_dir_offsets[begin];
-  const uint64_t dir_hi = src_dir_offsets[end];
-  const uint64_t dir_shift = dirs.size() - dir_lo;
-  for (uint64_t d = dir_lo; d < dir_hi; ++d) {
+  const CsrOffset dir_lo = src_dir_offsets[begin];
+  const CsrOffset dir_hi = src_dir_offsets[end];
+  const CsrOffset dir_shift = static_cast<CsrOffset>(dirs.size()) - dir_lo;
+  for (CsrOffset d = dir_lo; d < dir_hi; ++d) {
     dirs.push_back(
         CsrSegment::TypeDirEntry{src_dirs[d].type, src_dirs[d].begin + shift});
   }
-  std::vector<uint64_t>& dir_offsets = seg.*S::dir_offsets;
+  std::vector<CsrOffset>& dir_offsets = seg.*S::dir_offsets;
   for (uint32_t l = begin; l < end; ++l) {
     dir_offsets[l + 1] = src_dir_offsets[l + 1] + dir_shift;
   }
@@ -153,9 +136,9 @@ void CopyRows(const CsrSegment& prev, CsrSegment& seg, uint32_t begin,
 /// Writes every row of one side of `seg` by `DeriveRow`.
 template <bool kOut>
 void BuildSide(const PropertyGraph& g, CsrSegment& seg,
-               std::vector<SliceEntry>& entries) {
+               std::vector<SliceKey>& keys) {
   for (uint32_t l = 0; l < seg.num_vertices; ++l) {
-    DeriveRow<kOut>(g, seg, l, entries);
+    DeriveRow<kOut>(g, seg, l, keys);
   }
 }
 
@@ -166,18 +149,15 @@ void BuildSide(const PropertyGraph& g, CsrSegment& seg,
 template <bool kOut>
 void PatchSide(const CsrSegment& prev, const PropertyGraph& g,
                CsrSegment& seg, const uint8_t* dirty, size_t extra,
-               size_t dirs_extra, std::vector<SliceEntry>& entries) {
+               size_t dirs_extra, std::vector<SliceKey>& keys) {
   using S = Side<kOut>;
-  const size_t edges = (prev.*S::neighbors).size() + extra;
-  (seg.*S::neighbors).reserve(edges);
-  if constexpr (kOut) seg.out_edge_types.reserve(edges);
-  (seg.*S::edge_ids).reserve(edges);
+  (seg.*S::neighbors).reserve((prev.*S::neighbors).size() + extra);
   (seg.*S::dirs).reserve((prev.*S::dirs).size() + dirs_extra);
   const uint32_t count = seg.num_vertices;
   const uint32_t old = std::min(prev.num_vertices, count);
   for (uint32_t l = 0; l < count;) {
     if (l >= old || dirty[l] != 0) {
-      DeriveRow<kOut>(g, seg, l++, entries);
+      DeriveRow<kOut>(g, seg, l++, keys);
       continue;
     }
     uint32_t end = l + 1;
@@ -191,18 +171,16 @@ void PatchSide(const CsrSegment& prev, const PropertyGraph& g,
 
 size_t CsrSegment::ByteSize() const {
   return VectorBytes(out_offsets) + VectorBytes(out_targets) +
-         VectorBytes(out_edge_types) + VectorBytes(out_edge_ids) +
          VectorBytes(in_offsets) + VectorBytes(in_sources) +
-         VectorBytes(in_edge_ids) + VectorBytes(vertex_types) +
          VectorBytes(out_type_dir_offsets) + VectorBytes(out_type_dirs) +
          VectorBytes(in_type_dir_offsets) + VectorBytes(in_type_dirs);
 }
 
 CsrSegmentPtr CsrGraph::BuildSegment(const PropertyGraph& g, size_t seg_index) {
   std::shared_ptr<CsrSegment> seg = NewSegment(g, seg_index);
-  std::vector<SliceEntry> entries;
-  BuildSide<true>(g, *seg, entries);
-  BuildSide<false>(g, *seg, entries);
+  std::vector<SliceKey> keys;
+  BuildSide<true>(g, *seg, keys);
+  BuildSide<false>(g, *seg, keys);
   return seg;
 }
 
@@ -225,9 +203,9 @@ CsrSegmentPtr CsrGraph::PatchSegment(const CsrSegment& prev,
     in_extra += g.InEdges(seg->first_vertex + l).size();
     ++rows;
   }
-  std::vector<SliceEntry> entries;
-  PatchSide<true>(prev, g, *seg, dirty, out_extra, rows, entries);
-  PatchSide<false>(prev, g, *seg, dirty, in_extra, rows, entries);
+  std::vector<SliceKey> keys;
+  PatchSide<true>(prev, g, *seg, dirty, out_extra, rows, keys);
+  PatchSide<false>(prev, g, *seg, dirty, in_extra, rows, keys);
   if (rederived != nullptr) *rederived += rows;
   return seg;
 }

@@ -1,6 +1,7 @@
 /// \file csr.h
-/// \brief Immutable compressed-sparse-row snapshot of a property graph,
-/// stored as fixed-size immutable segments shared between generations.
+/// \brief Immutable compressed-sparse-row snapshot of a property graph's
+/// topology, stored as fixed-size immutable segments shared between
+/// generations.
 ///
 /// `PropertyGraph` optimizes for append-only mutation (per-vertex edge-id
 /// vectors); traversal-heavy analytics want contiguous neighbor arrays.
@@ -13,16 +14,23 @@
 /// maps an `EdgeTypeId` to its contiguous sub-slice. A typed expansion —
 /// the MATCH hot path — is therefore an O(#types-at-vertex) directory
 /// probe plus a contiguous scan, instead of a filter over every incident
-/// edge. Base-graph `EdgeId` lineage arrays run parallel to the neighbor
-/// arrays, so property access on a traversed edge goes straight back to
-/// the source graph (vertex ids are shared with the source graph too).
+/// edge. Vertex ids are shared with the source graph, so vertex types
+/// and properties are read there; the snapshot keeps only what a
+/// traversal reads.
+///
+/// **Layout.** Per segment side (out and in): a 32-bit offset per row
+/// into one 32-bit neighbor array, and a 32-bit offset per row into an
+/// array of 8-byte type-directory entries. A segment thus holds 8 B per
+/// live edge (one out-target, one in-source), 16 B per vertex (one entry
+/// in each of four offset arrays, which hold one entry more than the
+/// segment has rows), and 8 B per type-directory entry.
 ///
 /// Dead (tombstoned) vertices keep empty rows so base ids stay valid as
 /// CSR indices; dead edges are dropped at build time.
 ///
 /// **Segmented storage.** The vertex id space is cut into fixed-size
-/// ranges of `kCsrSegmentVertices` ids; each range's slices, lineage and
-/// type directories live in one immutable `CsrSegment` held by
+/// ranges of `kCsrSegmentVertices` ids; each range's slices and type
+/// directories live in one immutable `CsrSegment` held by
 /// `shared_ptr`. The engine's snapshot pipeline (`core::SegmentStore`)
 /// *shares* every clean segment with the previous version by refcount
 /// and writes a new version of each segment containing vertices
@@ -40,6 +48,7 @@
 #define KASKADE_GRAPH_CSR_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -109,17 +118,13 @@ struct NeighborSpan {
   bool empty() const { return size == 0; }
 };
 
-/// \brief A neighbor slice with the parallel base-graph edge-id lineage:
-/// `edge_ids[i]` is the base edge that contributed `vertices[i]`.
-struct EdgeSpan {
-  const VertexId* vertices = nullptr;
-  const EdgeId* edge_ids = nullptr;
-  size_t size = 0;
-
-  bool empty() const { return size == 0; }
-  VertexId vertex(size_t i) const { return vertices[i]; }
-  EdgeId edge_id(size_t i) const { return edge_ids[i]; }
-};
+/// Index into a segment's neighbor or type-directory arrays. A segment
+/// side holds at most one neighbor per live edge and one directory entry
+/// per neighbor, so it never outgrows the graph's edge id space.
+using CsrOffset = uint32_t;
+static_assert(std::numeric_limits<CsrOffset>::max() >=
+                  std::numeric_limits<EdgeId>::max(),
+              "CSR offsets must span the EdgeId space");
 
 /// \brief One immutable segment: the CSR rows of vertices
 /// `[first_vertex, first_vertex + num_vertices)`. All offsets are local
@@ -130,26 +135,22 @@ struct CsrSegment {
   /// [begin, next entry's begin or the vertex's slice end).
   struct TypeDirEntry {
     EdgeTypeId type;
-    uint64_t begin;  ///< Index into this segment's neighbor arrays.
+    CsrOffset begin;  ///< Index into this segment's neighbor arrays.
   };
 
   VertexId first_vertex = 0;
   uint32_t num_vertices = 0;  ///< ≤ kCsrSegmentVertices (tail may be short).
 
-  std::vector<uint64_t> out_offsets;  // num_vertices + 1
-  std::vector<VertexId> out_targets;  // grouped by edge type per vertex
-  std::vector<EdgeTypeId> out_edge_types;
-  std::vector<EdgeId> out_edge_ids;  // base-graph lineage, parallel
-  std::vector<uint64_t> in_offsets;
+  std::vector<CsrOffset> out_offsets;  // num_vertices + 1
+  std::vector<VertexId> out_targets;   // grouped by edge type per vertex
+  std::vector<CsrOffset> in_offsets;
   std::vector<VertexId> in_sources;
-  std::vector<EdgeId> in_edge_ids;
-  std::vector<VertexTypeId> vertex_types;  // num_vertices
   /// Per-vertex type directories (CSR-of-CSR): local vertex l's
   /// directory is `*_type_dirs[*_type_dir_offsets[l] ..
   /// *_type_dir_offsets[l+1])`, one entry per distinct incident type.
-  std::vector<uint64_t> out_type_dir_offsets;  // num_vertices + 1
+  std::vector<CsrOffset> out_type_dir_offsets;  // num_vertices + 1
   std::vector<TypeDirEntry> out_type_dirs;
-  std::vector<uint64_t> in_type_dir_offsets;
+  std::vector<CsrOffset> in_type_dir_offsets;
   std::vector<TypeDirEntry> in_type_dirs;
 
   /// Heap bytes held by this segment's arrays (copy-cost telemetry).
@@ -225,39 +226,21 @@ class CsrGraph {
             s.in_offsets[l + 1] - s.in_offsets[l]};
   }
 
-  /// Full out-slice of `v` with edge-id lineage (all edge types,
-  /// grouped by type).
-  EdgeSpan OutEdges(VertexId v) const {
-    const CsrSegment& s = Seg(v);
-    const uint32_t l = v & kCsrSegmentMask;
-    return {s.out_targets.data() + s.out_offsets[l],
-            s.out_edge_ids.data() + s.out_offsets[l],
-            s.out_offsets[l + 1] - s.out_offsets[l]};
-  }
-  EdgeSpan InEdges(VertexId v) const {
-    const CsrSegment& s = Seg(v);
-    const uint32_t l = v & kCsrSegmentMask;
-    return {s.in_sources.data() + s.in_offsets[l],
-            s.in_edge_ids.data() + s.in_offsets[l],
-            s.in_offsets[l + 1] - s.in_offsets[l]};
-  }
-
-  /// Out-edges of `v` with edge type `type`, as one contiguous slice
-  /// sorted ascending by target id (so membership checks can binary
-  /// search). `kInvalidTypeId` means "any type" and returns the full
-  /// slice (type-grouped, sorted within each type group).
-  EdgeSpan TypedOutEdges(VertexId v, EdgeTypeId type) const {
-    if (type == kInvalidTypeId) return OutEdges(v);
+  /// Out-neighbors of `v` over edges of type `type`, as one contiguous
+  /// slice sorted ascending by neighbor id (so membership checks can
+  /// binary search). `kInvalidTypeId` means "any type" and returns the
+  /// full slice (type-grouped, sorted within each type group).
+  NeighborSpan TypedOutEdges(VertexId v, EdgeTypeId type) const {
+    if (type == kInvalidTypeId) return OutNeighbors(v);
     const CsrSegment& s = Seg(v);
     return TypedSlice(s.out_type_dir_offsets, s.out_type_dirs, s.out_offsets,
-                      s.out_targets, s.out_edge_ids, v & kCsrSegmentMask,
-                      type);
+                      s.out_targets, v & kCsrSegmentMask, type);
   }
-  EdgeSpan TypedInEdges(VertexId v, EdgeTypeId type) const {
-    if (type == kInvalidTypeId) return InEdges(v);
+  NeighborSpan TypedInEdges(VertexId v, EdgeTypeId type) const {
+    if (type == kInvalidTypeId) return InNeighbors(v);
     const CsrSegment& s = Seg(v);
     return TypedSlice(s.in_type_dir_offsets, s.in_type_dirs, s.in_offsets,
-                      s.in_sources, s.in_edge_ids, v & kCsrSegmentMask, type);
+                      s.in_sources, v & kCsrSegmentMask, type);
   }
 
   size_t OutDegree(VertexId v) const {
@@ -271,40 +254,23 @@ class CsrGraph {
     return s.in_offsets[l + 1] - s.in_offsets[l];
   }
 
-  VertexTypeId VertexType(VertexId v) const {
-    return Seg(v).vertex_types[v & kCsrSegmentMask];
-  }
-
-  /// Edge type of the i-th out-edge of v (parallel to OutNeighbors).
-  EdgeTypeId OutEdgeType(VertexId v, size_t i) const {
-    const CsrSegment& s = Seg(v);
-    return s.out_edge_types[s.out_offsets[v & kCsrSegmentMask] + i];
-  }
-
-  /// Base-graph edge id of the i-th out-edge of v (parallel to
-  /// OutNeighbors).
-  EdgeId OutEdgeId(VertexId v, size_t i) const {
-    const CsrSegment& s = Seg(v);
-    return s.out_edge_ids[s.out_offsets[v & kCsrSegmentMask] + i];
-  }
-
  private:
   const CsrSegment& Seg(VertexId v) const {
     return *segments_[v >> kCsrSegmentShift];
   }
 
-  static EdgeSpan TypedSlice(const std::vector<uint64_t>& dir_offsets,
-                             const std::vector<CsrSegment::TypeDirEntry>& dirs,
-                             const std::vector<uint64_t>& offsets,
-                             const std::vector<VertexId>& vertices,
-                             const std::vector<EdgeId>& edge_ids, uint32_t l,
-                             EdgeTypeId type) {
-    const uint64_t dir_end = dir_offsets[l + 1];
-    for (uint64_t d = dir_offsets[l]; d < dir_end; ++d) {
+  static NeighborSpan TypedSlice(
+      const std::vector<CsrOffset>& dir_offsets,
+      const std::vector<CsrSegment::TypeDirEntry>& dirs,
+      const std::vector<CsrOffset>& offsets,
+      const std::vector<VertexId>& vertices, uint32_t l, EdgeTypeId type) {
+    const CsrOffset dir_end = dir_offsets[l + 1];
+    for (CsrOffset d = dir_offsets[l]; d < dir_end; ++d) {
       if (dirs[d].type != type) continue;
-      uint64_t begin = dirs[d].begin;
-      uint64_t end = d + 1 < dir_end ? dirs[d + 1].begin : offsets[l + 1];
-      return {vertices.data() + begin, edge_ids.data() + begin, end - begin};
+      const CsrOffset begin = dirs[d].begin;
+      const CsrOffset end =
+          d + 1 < dir_end ? dirs[d + 1].begin : offsets[l + 1];
+      return {vertices.data() + begin, end - begin};
     }
     return {};
   }

@@ -17,8 +17,8 @@ namespace kaskade::query {
 
 using graph::CsrGraph;
 using graph::EdgeId;
-using graph::EdgeSpan;
 using graph::EdgeTypeId;
+using graph::NeighborSpan;
 using graph::PropertyGraph;
 using graph::PropertyValue;
 using graph::VertexId;
@@ -408,13 +408,12 @@ class CsrMatchRunner {
       // need no expansion-level dedup — iterate the typed slice
       // directly, no gather, no buffers. First-occurrence emission order
       // is unchanged.
-      EdgeSpan span = forward ? csr_.TypedOutEdges(anchor, edge.type)
-                              : csr_.TypedInEdges(anchor, edge.type);
+      NeighborSpan span = forward ? csr_.TypedOutEdges(anchor, edge.type)
+                                  : csr_.TypedInEdges(anchor, edge.type);
       Status st = Status::OK();
       expansions_ += span.size;
       if (guard_.Charge(span.size)) return StopStatus();
-      for (size_t i = 0; i < span.size; ++i) {
-        VertexId v = span.vertices[i];
+      for (VertexId v : span) {
         if (!trivial && !NodeAccepts(graph_, pattern, free_slot, v)) continue;
         binding_[free_slot] = v;
         st = EmitRow();

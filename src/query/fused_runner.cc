@@ -13,7 +13,7 @@
 namespace kaskade::query {
 
 using graph::CsrGraph;
-using graph::EdgeSpan;
+using graph::NeighborSpan;
 using graph::PropertyGraph;
 using graph::PropertyValue;
 using graph::VertexId;
@@ -351,12 +351,11 @@ class FusedMatchRunner {
     if (!edge.variable_length && step_index + 1 == rm_.plan.size()) {
       // Fused final expansion, as in the solo runner: iterate the typed
       // slice directly and emit.
-      EdgeSpan span = forward ? csr_.TypedOutEdges(anchor, edge.type)
-                              : csr_.TypedInEdges(anchor, edge.type);
+      NeighborSpan span = forward ? csr_.TypedOutEdges(anchor, edge.type)
+                                  : csr_.TypedInEdges(anchor, edge.type);
       expansions_ += span.size;
       if (guard_.Charge(span.size)) return;
-      for (size_t i = 0; i < span.size; ++i) {
-        VertexId v = span.vertices[i];
+      for (VertexId v : span) {
         if (trivial) {
           binding_[free_slot] = v;
           EmitRows(mask);

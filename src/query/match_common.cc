@@ -5,8 +5,8 @@
 namespace kaskade::query::internal {
 
 using graph::CsrGraph;
-using graph::EdgeSpan;
 using graph::EdgeTypeId;
+using graph::NeighborSpan;
 using graph::PropertyGraph;
 using graph::VertexId;
 using graph::VertexTypeId;
@@ -227,10 +227,9 @@ void CsrTraversal::GatherDistinctNeighbors(VertexId anchor, EdgeTypeId type,
                                            std::vector<VertexId>* out) {
   out->clear();
   const uint32_t epoch = NextMark();
-  EdgeSpan span = forward ? csr_.TypedOutEdges(anchor, type)
-                          : csr_.TypedInEdges(anchor, type);
-  for (size_t i = 0; i < span.size; ++i) {
-    VertexId next = span.vertices[i];
+  NeighborSpan span = forward ? csr_.TypedOutEdges(anchor, type)
+                              : csr_.TypedInEdges(anchor, type);
+  for (VertexId next : span) {
     if (mark_[next] == epoch) continue;
     mark_[next] = epoch;
     out->push_back(next);
@@ -257,11 +256,10 @@ void CsrTraversal::VarLengthTargets(VertexId start, EdgeTypeId type,
     const uint32_t epoch = one_visited_set ? result_epoch : NextMark();
     std::vector<uint32_t>& marks = one_visited_set ? result_mark_ : mark_;
     for (VertexId v : s->cur) {
-      EdgeSpan span = backward ? csr_.TypedInEdges(v, type)
-                               : csr_.TypedOutEdges(v, type);
+      NeighborSpan span = backward ? csr_.TypedInEdges(v, type)
+                                   : csr_.TypedOutEdges(v, type);
       if (guard_ != nullptr && guard_->Charge(span.size + 1)) return;
-      for (size_t i = 0; i < span.size; ++i) {
-        VertexId next = span.vertices[i];
+      for (VertexId next : span) {
         if (marks[next] == epoch) continue;
         marks[next] = epoch;
         s->next.push_back(next);
@@ -293,10 +291,9 @@ bool CsrTraversal::VarLengthConnected(VertexId start, VertexId end,
     const uint32_t epoch = one_visited_set ? visited_epoch : NextMark();
     std::vector<uint32_t>& marks = one_visited_set ? result_mark_ : mark_;
     for (VertexId v : s->cur) {
-      EdgeSpan span = csr_.TypedOutEdges(v, type);
+      NeighborSpan span = csr_.TypedOutEdges(v, type);
       if (guard_ != nullptr && guard_->Charge(span.size + 1)) return false;
-      for (size_t i = 0; i < span.size; ++i) {
-        VertexId next = span.vertices[i];
+      for (VertexId next : span) {
         if (marks[next] == epoch) continue;
         marks[next] = epoch;
         if (depth >= min_hops && next == end) return true;
@@ -310,18 +307,15 @@ bool CsrTraversal::VarLengthConnected(VertexId start, VertexId end,
 
 bool CsrTraversal::HasFixedEdge(VertexId from, VertexId to,
                                 EdgeTypeId type) const {
-  EdgeSpan out = csr_.TypedOutEdges(from, type);
-  EdgeSpan in = csr_.TypedInEdges(to, type);
+  NeighborSpan out = csr_.TypedOutEdges(from, type);
+  NeighborSpan in = csr_.TypedInEdges(to, type);
   const bool smaller_in = in.size < out.size;
-  const EdgeSpan& span = smaller_in ? in : out;
+  const NeighborSpan& span = smaller_in ? in : out;
   const VertexId needle = smaller_in ? from : to;
   if (type == graph::kInvalidTypeId) {
-    for (size_t i = 0; i < span.size; ++i) {
-      if (span.vertices[i] == needle) return true;
-    }
-    return false;
+    return std::find(span.begin(), span.end(), needle) != span.end();
   }
-  return std::binary_search(span.vertices, span.vertices + span.size, needle);
+  return std::binary_search(span.begin(), span.end(), needle);
 }
 
 }  // namespace kaskade::query::internal

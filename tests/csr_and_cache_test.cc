@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 #include "core/engine.h"
 #include "core/materializer.h"
@@ -39,7 +40,6 @@ TEST(CsrTest, TopologyMatchesSource) {
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     EXPECT_EQ(csr.OutDegree(v), g.OutDegree(v));
     EXPECT_EQ(csr.InDegree(v), g.InDegree(v));
-    EXPECT_EQ(csr.VertexType(v), g.VertexType(v));
     // Neighbor multisets agree.
     std::multiset<VertexId> expected;
     for (graph::EdgeId e : g.OutEdges(v)) {
@@ -67,44 +67,37 @@ TEST(CsrTest, TypedSlicesMatchFilteredAdjacency) {
   const size_t num_types = g.schema().num_edge_types();
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     size_t typed_total = 0;
+    size_t typed_in_total = 0;
     for (graph::EdgeTypeId t = 0; t < num_types; ++t) {
-      // Expected: the (target, edge id) multiset of v's out-edges of
-      // type t, straight from the adjacency lists.
-      std::multiset<std::pair<VertexId, graph::EdgeId>> expected;
+      // Expected: the target multiset of v's out-edges of type t,
+      // straight from the adjacency lists.
+      std::multiset<VertexId> expected;
       for (graph::EdgeId e : g.OutEdges(v)) {
-        if (g.Edge(e).type == t) expected.insert({g.Edge(e).target, e});
+        if (g.Edge(e).type == t) expected.insert(g.Edge(e).target);
       }
-      graph::EdgeSpan span = csr.TypedOutEdges(v, t);
-      std::multiset<std::pair<VertexId, graph::EdgeId>> got;
-      for (size_t i = 0; i < span.size; ++i) {
-        got.insert({span.vertex(i), span.edge_id(i)});
-      }
-      EXPECT_EQ(got, expected) << "vertex " << v << " type " << t;
+      graph::NeighborSpan span = csr.TypedOutEdges(v, t);
+      EXPECT_EQ(std::multiset<VertexId>(span.begin(), span.end()), expected)
+          << "vertex " << v << " type " << t;
       typed_total += span.size;
       // In-side symmetry.
-      std::multiset<std::pair<VertexId, graph::EdgeId>> expected_in;
+      std::multiset<VertexId> expected_in;
       for (graph::EdgeId e : g.InEdges(v)) {
-        if (g.Edge(e).type == t) expected_in.insert({g.Edge(e).source, e});
+        if (g.Edge(e).type == t) expected_in.insert(g.Edge(e).source);
       }
-      graph::EdgeSpan in_span = csr.TypedInEdges(v, t);
-      std::multiset<std::pair<VertexId, graph::EdgeId>> got_in;
-      for (size_t i = 0; i < in_span.size; ++i) {
-        got_in.insert({in_span.vertex(i), in_span.edge_id(i)});
-      }
-      EXPECT_EQ(got_in, expected_in) << "vertex " << v << " type " << t;
+      graph::NeighborSpan in_span = csr.TypedInEdges(v, t);
+      EXPECT_EQ(std::multiset<VertexId>(in_span.begin(), in_span.end()),
+                expected_in)
+          << "vertex " << v << " type " << t;
+      typed_in_total += in_span.size;
     }
-    // Typed slices tile the full slice exactly.
+    // Typed slices tile the full slices exactly.
     EXPECT_EQ(typed_total, csr.OutDegree(v));
-    // The untyped slice is the whole thing.
+    EXPECT_EQ(typed_in_total, csr.InDegree(v));
+    // The untyped slices are the whole thing.
     EXPECT_EQ(csr.TypedOutEdges(v, graph::kInvalidTypeId).size,
               csr.OutDegree(v));
-    // Lineage arrays agree with the per-position accessors.
-    graph::EdgeSpan all = csr.OutEdges(v);
-    for (size_t i = 0; i < all.size; ++i) {
-      EXPECT_EQ(all.edge_id(i), csr.OutEdgeId(v, i));
-      EXPECT_EQ(g.Edge(all.edge_id(i)).target, all.vertex(i));
-      EXPECT_EQ(g.Edge(all.edge_id(i)).type, csr.OutEdgeType(v, i));
-    }
+    EXPECT_EQ(csr.TypedInEdges(v, graph::kInvalidTypeId).size,
+              csr.InDegree(v));
   }
 }
 
@@ -120,16 +113,50 @@ TEST(CsrTest, TombstonedEdgesDroppedFromTypedSlices) {
   CsrGraph csr = CsrGraph::Build(g);
   EXPECT_EQ(csr.NumEdges(), g.NumLiveEdges());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    graph::EdgeSpan all = csr.OutEdges(v);
-    for (size_t i = 0; i < all.size; ++i) {
-      EXPECT_TRUE(g.IsEdgeLive(all.edge_id(i)));
+    // The slice holds exactly the targets of v's live out-edges.
+    std::multiset<VertexId> live_targets;
+    for (graph::EdgeId e : g.OutEdges(v)) {
+      if (g.IsEdgeLive(e)) live_targets.insert(g.Edge(e).target);
     }
-    EXPECT_EQ(all.size, [&] {
-      size_t live = 0;
-      for (graph::EdgeId e : g.OutEdges(v)) live += g.IsEdgeLive(e) ? 1 : 0;
-      return live;
-    }());
+    graph::NeighborSpan all = csr.OutNeighbors(v);
+    EXPECT_EQ(std::multiset<VertexId>(all.begin(), all.end()), live_targets)
+        << "vertex " << v;
   }
+}
+
+// The snapshot holds only what traversal reads: 4 B per neighbor on each
+// side, four 32-bit offset arrays of (rows + 1) entries per segment, and
+// one 8 B type-directory entry per (vertex, side, incident edge type).
+TEST(CsrTest, FootprintIsEightBytesPerEdge) {
+  PropertyGraph g = datasets::MakeProvenanceGraph(
+      {.num_jobs = 300, .num_files = 900, .num_tasks = 200});
+  for (graph::EdgeId e = 0; e < g.NumEdges(); e += 5) {
+    ASSERT_TRUE(g.RemoveEdge(e).ok());
+  }
+  CsrGraph csr = CsrGraph::Build(g);
+  ASSERT_GT(csr.num_segments(), 1u);
+  size_t expected = 8 * g.NumLiveEdges();
+  for (size_t i = 0; i < csr.num_segments(); ++i) {
+    expected += 4 * (csr.segment(i)->num_vertices + 1) * 4;
+  }
+  size_t dir_entries = 0;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    std::set<graph::EdgeTypeId> out_types;
+    std::set<graph::EdgeTypeId> in_types;
+    for (graph::EdgeId e : g.OutEdges(v)) {
+      if (g.IsEdgeLive(e)) out_types.insert(g.Edge(e).type);
+    }
+    for (graph::EdgeId e : g.InEdges(v)) {
+      if (g.IsEdgeLive(e)) in_types.insert(g.Edge(e).type);
+    }
+    dir_entries += out_types.size() + in_types.size();
+  }
+  expected += 8 * dir_entries;
+  size_t bytes = 0;
+  for (size_t i = 0; i < csr.num_segments(); ++i) {
+    bytes += csr.segment(i)->ByteSize();
+  }
+  EXPECT_EQ(bytes, expected);
 }
 
 /// CSR traversals must agree with the adjacency-list implementations.
@@ -371,7 +398,7 @@ TEST(SnapshotPatchTest, ApplyDeltaPatchesBaseSnapshotForward) {
   // Mixed batch: one insert plus one removal.
   graph::GraphDelta delta;
   delta.AddEdge(0, static_cast<VertexId>(30), "WRITES_TO", {});
-  delta.RemoveEdge(warm->OutEdges(0).edge_id(0));
+  delta.RemoveEdge(engine.base_graph().OutEdges(0).front());
   ASSERT_TRUE(engine.ApplyDelta(std::move(delta)).ok());
 
   auto patched = catalog.BaseSnapshot();

@@ -833,10 +833,9 @@ std::vector<VertexId> ReferenceTargets(const CsrGraph& csr, VertexId start,
     std::vector<VertexId> next;
     std::set<VertexId> seen;
     for (VertexId v : level) {
-      graph::EdgeSpan span =
+      graph::NeighborSpan span =
           backward ? csr.TypedInEdges(v, type) : csr.TypedOutEdges(v, type);
-      for (size_t i = 0; i < span.size; ++i) {
-        const VertexId u = span.vertices[i];
+      for (const VertexId u : span) {
         if (!seen.insert(u).second) continue;
         next.push_back(u);
         if (depth >= min_hops && is_target.insert(u).second) {
