@@ -78,59 +78,26 @@ Engine::Engine(graph::PropertyGraph base_graph, EngineOptions options,
   }
   if (options_.durability.enabled()) {
     durability_error_ = InitDurability(bootstrap);
-    if (durability_error_.ok() &&
-        options_.durability.checkpoint_wal_bytes > 0) {
-      checkpoint_thread_ = std::thread([this] { CheckpointLoop(); });
-    }
-  }
-  if (options_.self_heal.enabled) {
-    repair_thread_ = std::thread([this] { RepairLoop(); });
   }
 }
 
 Engine::~Engine() {
-  // Stop the durability/self-heal threads before anything else: both
-  // take the engine locks and walk the catalog, so they must be gone
-  // before the pools (and the catalog) start tearing down.
-  if (checkpoint_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(checkpoint_mu_);
-      checkpoint_stop_ = true;
-    }
-    checkpoint_cv_.notify_all();
-    checkpoint_thread_.join();
-  }
-  if (repair_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(repair_mu_);
-      repair_stop_ = true;
-    }
-    repair_cv_.notify_all();
-    repair_thread_.join();
-  }
-  // Drain the batch pool first: by the caller contract no ExecuteBatch
-  // is in flight, so the queue is empty and workers are parked.
+  // By the caller contract no ExecuteBatch is in flight, so pool threads
+  // are parked or finishing one background task; they exit at their
+  // next claim.
   {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    batch_stop_ = true;
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    pool_stop_ = true;
   }
-  batch_cv_.notify_all();
-  for (std::thread& worker : batch_workers_) worker.join();
-
-  std::vector<BuildJob> orphaned;
-  {
-    std::lock_guard<std::mutex> lock(build_mu_);
-    build_stop_ = true;
-    // Queued-but-unstarted builds are abandoned; their placeholders are
-    // aborted below so the catalog is not left with dangling entries.
-    orphaned.assign(std::make_move_iterator(build_queue_.begin()),
-                    std::make_move_iterator(build_queue_.end()));
-    build_queue_.clear();
-  }
-  build_cv_.notify_all();
-  for (std::thread& worker : build_workers_) worker.join();
-  for (const BuildJob& job : orphaned) {
-    (void)catalog_.AbortBuild(job.handle);
+  pool_cv_.notify_all();
+  for (std::thread& thread : pool_) thread.join();
+  // Queued-but-unstarted builds are abandoned; their placeholders are
+  // aborted so the catalog is not left with dangling entries. Queued
+  // repairs and checkpoints hold no catalog state.
+  for (const BackgroundTask& task : background_queue_) {
+    if (task.kind == BackgroundTask::Kind::kBuild) {
+      (void)catalog_.AbortBuild(task.job.handle);
+    }
   }
 }
 
@@ -312,17 +279,25 @@ Status Engine::FinishMutationDurably(
     durability::WriteAheadLog::AppendToken token) {
   KASKADE_RETURN_IF_ERROR(wal_->WaitDurable(token));
   const uint64_t threshold = options_.durability.checkpoint_wal_bytes;
-  if (threshold > 0 &&
-      wal_bytes_since_checkpoint_.load(std::memory_order_relaxed) >=
-          threshold) {
-    // Claim the trigger (reset to zero) so one crossing schedules one
-    // checkpoint; bytes appended meanwhile re-arm it.
-    wal_bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(checkpoint_mu_);
-      checkpoint_requested_ = true;
-    }
-    checkpoint_cv_.notify_one();
+  if (threshold == 0) return Status::OK();
+  // Claim the trigger by swapping the counter to zero, so one crossing
+  // schedules one checkpoint. A concurrent append makes the swap fail
+  // and retry, so its bytes count toward the next checkpoint instead of
+  // being dropped.
+  uint64_t pending =
+      wal_bytes_since_checkpoint_.load(std::memory_order_relaxed);
+  while (pending >= threshold &&
+         !wal_bytes_since_checkpoint_.compare_exchange_weak(
+             pending, 0, std::memory_order_relaxed)) {
+  }
+  if (pending < threshold) return Status::OK();
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  // One queued checkpoint covers every trigger that fires before it runs.
+  if (std::none_of(background_queue_.begin(), background_queue_.end(),
+                   [](const BackgroundTask& task) {
+                     return task.kind == BackgroundTask::Kind::kCheckpoint;
+                   })) {
+    EnqueueBackgroundLocked({BackgroundTask::Kind::kCheckpoint, {}, {}});
   }
   return Status::OK();
 }
@@ -370,124 +345,85 @@ Status Engine::PersistViewSetLocked() {
   return durability::WriteViewSet(options_.durability.dir, definitions);
 }
 
-void Engine::CheckpointLoop() {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(checkpoint_mu_);
-      checkpoint_cv_.wait(
-          lock, [&] { return checkpoint_stop_ || checkpoint_requested_; });
-      if (checkpoint_stop_) return;
-      checkpoint_requested_ = false;
-    }
-    Result<uint64_t> written = Checkpoint();
-    if (!written.ok()) {
-      // The WAL still holds the full history — a failed checkpoint only
-      // defers truncation. Count it and wait for the next trigger.
-      checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Self-healing: quarantined-view repair worker
+// Self-healing: quarantined views repaired as delayed builds
 // ---------------------------------------------------------------------------
 
-void Engine::NotifyRepair() {
+void Engine::ScheduleRepairsLocked() {
   if (!options_.self_heal.enabled) return;
-  {
-    std::lock_guard<std::mutex> lock(repair_mu_);
-    repair_poke_ = true;
+  const SelfHealOptions& heal = options_.self_heal;
+  const auto now = std::chrono::steady_clock::now();
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  // Forget views that left quarantine some other way (manual reclaim,
+  // removal) while no repair was scheduled, so an old give-up cannot
+  // block the repair of a later view with the same name.
+  std::erase_if(repair_state_, [&](const auto& named) {
+    const CatalogEntry* entry = catalog_.Find(named.first);
+    return !named.second.scheduled &&
+           (entry == nullptr || entry->state != ViewState::kQuarantined);
+  });
+  for (const CatalogEntry* entry : catalog_.Entries()) {
+    if (entry->state != ViewState::kQuarantined) continue;
+    RepairState& state = repair_state_[entry->name()];
+    if (state.scheduled ||
+        (heal.max_attempts > 0 && state.attempts >= heal.max_attempts)) {
+      continue;
+    }
+    // First attempt at once; after n failures wait
+    // initial_backoff * 2^(n-1), capped at max_backoff.
+    std::chrono::milliseconds backoff{0};
+    if (state.attempts > 0) {
+      backoff = heal.initial_backoff;
+      for (size_t i = 1; i < state.attempts && backoff < heal.max_backoff;
+           ++i) {
+        backoff *= 2;
+      }
+      backoff = std::min(backoff, heal.max_backoff);
+    }
+    state.scheduled = true;
+    EnqueueBackgroundLocked({BackgroundTask::Kind::kRepair, now + backoff,
+                             BuildJob{kInvalidViewHandle,
+                                      entry->view.definition}});
   }
-  repair_cv_.notify_one();
 }
 
-void Engine::RepairLoop() {
-  const SelfHealOptions& heal = options_.self_heal;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(repair_mu_);
-      // Sleep until poked (new quarantine) or, when retries are
-      // pending, until the earliest backoff deadline.
-      auto wake = std::chrono::steady_clock::time_point::max();
-      for (const auto& [name, state] : repair_state_) {
-        if (!state.gave_up) wake = std::min(wake, state.next_attempt);
-      }
-      if (wake == std::chrono::steady_clock::time_point::max()) {
-        repair_cv_.wait(lock, [&] { return repair_stop_ || repair_poke_; });
-      } else {
-        repair_cv_.wait_until(lock, wake,
-                              [&] { return repair_stop_ || repair_poke_; });
-      }
-      if (repair_stop_) return;
-      repair_poke_ = false;
-    }
-
-    // Snapshot the quarantined set under the reader lock; repairs below
-    // take the writer lock one view at a time, so a long rebuild never
-    // blocks queries for the whole scan.
-    std::vector<ViewDefinition> quarantined;
-    {
-      std::shared_lock lock(mu_);
-      for (const CatalogEntry* entry : catalog_.Entries()) {
-        if (entry->state == ViewState::kQuarantined) {
-          quarantined.push_back(entry->view.definition);
-        }
-      }
-    }
-
-    const auto now = std::chrono::steady_clock::now();
-    for (const ViewDefinition& definition : quarantined) {
-      const std::string name = definition.Name();
-      {
-        std::lock_guard<std::mutex> lock(repair_mu_);
-        RepairState& state = repair_state_[name];
-        if (state.gave_up || now < state.next_attempt) continue;
-      }
-      // `Add` materializes and reclaims the quarantined entry in place
-      // (same path a manual rebuild takes).
-      Status repaired;
-      {
-        std::unique_lock lock = LockWriter();
-        repaired = catalog_.Add(definition).status();
-      }
-      std::lock_guard<std::mutex> lock(repair_mu_);
-      if (repaired.ok()) {
-        quarantine_repairs_.fetch_add(1, std::memory_order_relaxed);
-        repair_state_.erase(name);
-      } else {
-        repair_failures_.fetch_add(1, std::memory_order_relaxed);
-        RepairState& state = repair_state_[name];
-        ++state.attempts;
-        if (heal.max_attempts > 0 && state.attempts >= heal.max_attempts) {
-          state.gave_up = true;
-          continue;
-        }
-        auto backoff = heal.initial_backoff;
-        for (size_t i = 1; i < state.attempts && backoff < heal.max_backoff;
-             ++i) {
-          backoff *= 2;
-        }
-        state.next_attempt =
-            std::chrono::steady_clock::now() + std::min(backoff,
-                                                        heal.max_backoff);
-      }
-    }
-
-    // Prune names that left quarantine some other way (manual reclaim,
-    // removal) so a stale gave_up entry cannot block a future repair of
-    // a new view with the same name.
-    std::lock_guard<std::mutex> lock(repair_mu_);
-    for (auto it = repair_state_.begin(); it != repair_state_.end();) {
-      bool still_quarantined = false;
-      for (const ViewDefinition& definition : quarantined) {
-        if (definition.Name() == it->first) {
-          still_quarantined = true;
-          break;
-        }
-      }
-      it = still_quarantined ? std::next(it) : repair_state_.erase(it);
+void Engine::RunRepair(const ViewDefinition& definition) {
+  const std::string name = definition.Name();
+  BuildJob job{kInvalidViewHandle, definition};
+  {
+    std::unique_lock lock = LockWriter();
+    const CatalogEntry* entry = catalog_.Find(name);
+    if (entry != nullptr && entry->state == ViewState::kQuarantined) {
+      // Reclaims the entry in place as a `kBuilding` placeholder.
+      Result<ViewHandle> handle = catalog_.BeginBuild(definition);
+      if (handle.ok()) job.handle = *handle;
     }
   }
+  if (job.handle == kInvalidViewHandle) {
+    // The view left quarantine meanwhile (reclaimed or removed).
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    repair_state_.erase(name);
+    return;
+  }
+  Status built = RunBuildJob(job);
+  if (built.ok()) {
+    quarantine_repairs_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    repair_state_.erase(name);
+    return;
+  }
+  std::unique_lock lock = LockWriter();
+  (void)catalog_.Quarantine(job.handle, built);
+  {
+    std::lock_guard<std::mutex> pool(pool_mu_);
+    RepairState& state = repair_state_[name];
+    ++state.attempts;
+    state.scheduled = false;
+  }
+  // Counted once the entry is back in quarantine, so a monitor that sees
+  // the last failure also sees the view out of service.
+  repair_failures_.fetch_add(1, std::memory_order_relaxed);
+  ScheduleRepairsLocked();
 }
 
 // ---------------------------------------------------------------------------
@@ -522,7 +458,7 @@ Result<SelectionReport> Engine::AnalyzeWorkload(
   WaitForBuilds();
   Status build_error = TakeBuildErrorForHandles(applied.scheduled_handles);
   {
-    std::lock_guard<std::mutex> lock(build_mu_);
+    std::lock_guard<std::mutex> lock(pool_mu_);
     for (ViewHandle handle : applied.scheduled_handles) {
       reserved_error_handles_.erase(handle);
     }
@@ -655,50 +591,135 @@ EngineTelemetry Engine::TelemetrySnapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// Background build pool
+// Engine task pool: batch members first, then background tasks
 // ---------------------------------------------------------------------------
 
+size_t Engine::BatchWidth() const {
+  return options_.batch_workers != 0
+             ? options_.batch_workers
+             : std::max(1u, std::thread::hardware_concurrency());
+}
+
+void Engine::GrowPoolLocked(size_t threads) {
+  // The caller of a batch is always one of its workers, so the pool
+  // holds one thread fewer than the batch width (and at least one for
+  // the background work).
+  threads = std::min(threads, std::max<size_t>(1, BatchWidth() - 1));
+  // Threads start only when a task needs them, and background work stays
+  // on the first: glibc gives each thread a malloc arena that keeps what
+  // the thread freed, so build and checkpoint base copies spread across
+  // threads would each leave a copy-sized arena resident.
+  while (!pool_stop_ && pool_.size() < threads) {
+    const bool runs_background = pool_.empty();
+    pool_.emplace_back(
+        [this, runs_background] { PoolWorker(runs_background); });
+  }
+}
+
+void Engine::EnqueueBackgroundLocked(BackgroundTask task) {
+  background_queue_.push_back(std::move(task));
+  GrowPoolLocked(1);
+  // All: only the first thread takes background work.
+  pool_cv_.notify_all();
+}
+
+size_t Engine::BuildsPendingLocked() const {
+  return std::count_if(background_queue_.begin(), background_queue_.end(),
+                       [](const BackgroundTask& task) {
+                         return task.kind == BackgroundTask::Kind::kBuild;
+                       }) +
+         (background_running_ == BackgroundTask::Kind::kBuild ? 1 : 0);
+}
+
+void Engine::PoolWorker(bool runs_background) {
+  std::unique_lock<std::mutex> lock(pool_mu_);
+  while (!pool_stop_) {
+    auto open = std::find_if(
+        batch_queue_.begin(), batch_queue_.end(),
+        [](const std::shared_ptr<BatchJob>& job) {
+          return job->next.load(std::memory_order_relaxed) < job->tasks.size();
+        });
+    if (open != batch_queue_.end()) {
+      std::shared_ptr<BatchJob> job = *open;
+      lock.unlock();
+      Status fault =
+          options_.fault_hooks.Fire(FaultSite::kBatchWorker, "batch worker");
+      if (fault.ok()) {
+        DrainBatchJob(job.get());
+      } else {
+        // Abandon the round: the calling thread always drains its own
+        // job (`RunBatchTasks` participates), so every task still
+        // completes — the batch just loses this thread's parallelism.
+        // Yield so a persistently-failing hook cannot starve the caller
+        // of the core.
+        batch_worker_faults_.fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::yield();
+      }
+      lock.lock();
+      continue;
+    }
+    if (!runs_background || background_queue_.empty()) {
+      pool_cv_.wait(lock);
+      continue;
+    }
+    // Oldest due task first; otherwise sleep until the earliest is due.
+    const auto now = std::chrono::steady_clock::now();
+    auto due = std::find_if(
+        background_queue_.begin(), background_queue_.end(),
+        [&](const BackgroundTask& task) { return task.not_before <= now; });
+    if (due == background_queue_.end()) {
+      pool_cv_.wait_until(
+          lock, std::min_element(background_queue_.begin(),
+                                 background_queue_.end(),
+                                 [](const BackgroundTask& a,
+                                    const BackgroundTask& b) {
+                                   return a.not_before < b.not_before;
+                                 })->not_before);
+      continue;
+    }
+    BackgroundTask task = std::move(*due);
+    background_queue_.erase(due);
+    background_running_ = task.kind;
+    lock.unlock();
+    RunBackgroundTask(task);
+    lock.lock();
+    background_running_.reset();
+    pool_done_cv_.notify_all();
+  }
+}
+
+void Engine::RunBackgroundTask(const BackgroundTask& task) {
+  switch (task.kind) {
+    case BackgroundTask::Kind::kBuild: {
+      Status built = RunBuildJob(task.job);
+      if (!built.ok()) FailBuild(task.job, built);
+      // The stale pending-delta log (bounded at kMaxPendingDeltas) is
+      // reclaimed by the next writer's NoteBaseChangedLocked; taking the
+      // exclusive lock here just to clear it early would stall readers.
+      return;
+    }
+    case BackgroundTask::Kind::kRepair:
+      RunRepair(task.job.definition);
+      return;
+    case BackgroundTask::Kind::kCheckpoint:
+      if (!Checkpoint().ok()) {
+        // The WAL still holds the full history — a failed checkpoint
+        // only defers truncation. The next trigger retries.
+        checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return;
+  }
+}
+
 void Engine::EnqueueBuildLocked(BuildJob job, bool reserve_errors) {
-  std::lock_guard<std::mutex> lock(build_mu_);
+  std::lock_guard<std::mutex> lock(pool_mu_);
   // Reserve in the same critical section that makes the job runnable:
-  // no worker can fail the build before the reservation exists.
+  // no pool thread can fail the build before the reservation exists.
   if (reserve_errors) reserved_error_handles_.insert(job.handle);
-  build_queue_.push_back(std::move(job));
-  if (build_workers_.empty()) {
-    size_t workers = std::max<size_t>(1, options_.build_workers);
-    build_workers_.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      build_workers_.emplace_back([this] { BuildWorkerLoop(); });
-    }
-  }
-  build_cv_.notify_one();
+  EnqueueBackgroundLocked({BackgroundTask::Kind::kBuild, {}, std::move(job)});
 }
 
-void Engine::BuildWorkerLoop() {
-  while (true) {
-    BuildJob job;
-    {
-      std::unique_lock<std::mutex> lock(build_mu_);
-      build_cv_.wait(lock,
-                     [&] { return build_stop_ || !build_queue_.empty(); });
-      if (build_stop_) return;  // destructor aborts what is still queued
-      job = std::move(build_queue_.front());
-      build_queue_.pop_front();
-      ++builds_running_;
-    }
-    RunBuildJob(std::move(job));
-    {
-      std::lock_guard<std::mutex> lock(build_mu_);
-      --builds_running_;
-    }
-    // The stale pending-delta log (bounded at kMaxPendingDeltas) is
-    // reclaimed by the next writer's NoteBaseChangedLocked; taking the
-    // exclusive lock here just to clear it early would stall readers.
-    build_idle_cv_.notify_all();
-  }
-}
-
-void Engine::RunBuildJob(BuildJob job) {
+Status Engine::RunBuildJob(const BuildJob& job) {
   // A build that keeps losing the race against writers must still
   // terminate: the final attempt publishes (or rebuilds) while *holding*
   // the writer lock, trading one blocking build for guaranteed progress.
@@ -726,29 +747,17 @@ void Engine::RunBuildJob(BuildJob job) {
         materialize_fault.ok() ? Materialize(*pinned_base, definition)
                                : Result<MaterializedView>(materialize_fault);
     pinned_base.reset();
-    if (!built.ok()) {
-      FailBuild(job, built.status());
-      return;
-    }
+    if (!built.ok()) return built.status();
     if (options_.build_hooks.before_publish) options_.build_hooks.before_publish();
 
     std::unique_lock lock = LockWriter();
     Status publish_fault =
         options_.fault_hooks.Fire(FaultSite::kPublish, definition.Name());
-    if (!publish_fault.ok()) {
-      lock.unlock();
-      FailBuild(job, publish_fault);
-      return;
-    }
+    if (!publish_fault.ok()) return publish_fault;
     if (base_version_ == pinned_version) {
-      Status status = catalog_.Publish(job.handle, std::move(*built));
-      if (!status.ok()) {
-        lock.unlock();
-        FailBuild(job, status);
-        return;
-      }
+      KASKADE_RETURN_IF_ERROR(catalog_.Publish(job.handle, std::move(*built)));
       builds_completed_.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return Status::OK();
     }
 
     // The base moved while we were building. Gather what landed after
@@ -777,32 +786,22 @@ void Engine::RunBuildJob(BuildJob job) {
       catchup.edge_removals = std::move(removals);
       Result<MaintenanceStats> replayed = replayer.ApplyDelta(catchup);
       if (replayed.ok()) {
-        Status status = catalog_.Publish(job.handle, std::move(*built));
-        if (!status.ok()) {
-          lock.unlock();
-          FailBuild(job, status);
-          return;
-        }
+        KASKADE_RETURN_IF_ERROR(
+            catalog_.Publish(job.handle, std::move(*built)));
         builds_completed_.fetch_add(1, std::memory_order_relaxed);
         builds_replayed_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return Status::OK();
       }
       // Replay failures (out-of-band state the log missed) fall through
       // to a rebuild.
     }
     build_retries_.fetch_add(1, std::memory_order_relaxed);
     if (attempt + 1 >= kMaxAttempts) {
-      Result<MaterializedView> fresh = Materialize(base_, definition);
-      Status status = fresh.ok()
-                          ? catalog_.Publish(job.handle, std::move(*fresh))
-                          : fresh.status();
-      if (!status.ok()) {
-        lock.unlock();
-        FailBuild(job, status);
-        return;
-      }
+      KASKADE_ASSIGN_OR_RETURN(MaterializedView fresh,
+                               Materialize(base_, definition));
+      KASKADE_RETURN_IF_ERROR(catalog_.Publish(job.handle, std::move(fresh)));
       builds_completed_.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return Status::OK();
     }
     // Retry in the background against the newer base.
   }
@@ -816,9 +815,10 @@ void Engine::FailBuild(const BuildJob& job, const Status& status) {
     // Queries meanwhile fall back to the base graph.
     std::unique_lock lock = LockWriter();
     (void)catalog_.Quarantine(job.handle, status);
+    ScheduleRepairsLocked();
   }
   {
-    std::lock_guard<std::mutex> lock(build_mu_);
+    std::lock_guard<std::mutex> lock(pool_mu_);
     // Bound the slot: a fire-and-forget advice loop whose view fails
     // persistently would otherwise grow it one entry per round forever.
     // Evict the oldest *unreserved* entry — a reserved one belongs to a
@@ -835,12 +835,11 @@ void Engine::FailBuild(const BuildJob& job, const Status& status) {
     }
     build_errors_.emplace_back(job.handle, status);
   }
-  NotifyRepair();
 }
 
 Status Engine::TakeBuildErrorForHandles(
     const std::vector<ViewHandle>& handles) {
-  std::lock_guard<std::mutex> lock(build_mu_);
+  std::lock_guard<std::mutex> lock(pool_mu_);
   Status first = Status::OK();
   auto removed = std::remove_if(
       build_errors_.begin(), build_errors_.end(), [&](const auto& tagged) {
@@ -856,16 +855,14 @@ Status Engine::TakeBuildErrorForHandles(
 }
 
 void Engine::WaitForBuilds() {
-  std::unique_lock<std::mutex> lock(build_mu_);
-  build_idle_cv_.wait(
-      lock, [&] { return build_queue_.empty() && builds_running_ == 0; });
+  std::unique_lock<std::mutex> lock(pool_mu_);
+  pool_done_cv_.wait(lock, [&] { return BuildsPendingLocked() == 0; });
 }
 
 Status Engine::WaitForBuilds(std::chrono::microseconds timeout) {
-  std::unique_lock<std::mutex> lock(build_mu_);
-  const bool idle = build_idle_cv_.wait_for(lock, timeout, [&] {
-    return build_queue_.empty() && builds_running_ == 0;
-  });
+  std::unique_lock<std::mutex> lock(pool_mu_);
+  const bool idle = pool_done_cv_.wait_for(
+      lock, timeout, [&] { return BuildsPendingLocked() == 0; });
   if (idle) return Status::OK();
   return Status::DeadlineExceeded(
       "background builds still pending after the wait budget (builds "
@@ -873,12 +870,12 @@ Status Engine::WaitForBuilds(std::chrono::microseconds timeout) {
 }
 
 size_t Engine::builds_pending() const {
-  std::lock_guard<std::mutex> lock(build_mu_);
-  return build_queue_.size() + builds_running_;
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return BuildsPendingLocked();
 }
 
 Status Engine::TakeBuildError() {
-  std::lock_guard<std::mutex> lock(build_mu_);
+  std::lock_guard<std::mutex> lock(pool_mu_);
   // Pop only the oldest unreserved entry: wholesale clearing (or taking
   // a reserved one) would steal a failure a concurrent blocking round
   // is about to collect for its own builds.
@@ -920,8 +917,12 @@ void Engine::NoteBaseChangedLocked(const graph::GraphDelta* delta) {
   ++base_version_;
   bool builds_in_flight;
   {
-    std::lock_guard<std::mutex> lock(build_mu_);
-    builds_in_flight = !build_queue_.empty() || builds_running_ > 0;
+    // A running repair has pinned the base like any build and replays
+    // the same log at publish.
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    builds_in_flight =
+        BuildsPendingLocked() > 0 ||
+        background_running_ == BackgroundTask::Kind::kRepair;
   }
   if (!builds_in_flight || delta_log_.size() >= kMaxPendingDeltas) {
     delta_log_.clear();
@@ -992,9 +993,8 @@ Result<DeltaReport> Engine::ApplyDelta(graph::GraphDelta delta) {
   report.views_incremental = maintained.views_incremental;
   report.views_rematerialized = maintained.views_rematerialized;
   report.maintenance = maintained.stats;
-  const bool poke_repair = maintained.views_quarantined > 0;
+  if (maintained.views_quarantined > 0) ScheduleRepairsLocked();
   lock.unlock();
-  if (poke_repair) NotifyRepair();
   if (logged) {
     // Durability wait happens outside the engine lock so concurrent
     // writers share one group-commit fsync.
@@ -1241,78 +1241,30 @@ void Engine::DrainBatchJob(BatchJob* job) {
     if (job->done.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
       // Lock-then-notify so the owner cannot check the predicate and
       // block between our increment and the notification.
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      batch_done_cv_.notify_all();
+      std::lock_guard<std::mutex> lock(pool_mu_);
+      pool_done_cv_.notify_all();
     }
-  }
-}
-
-void Engine::BatchWorkerLoop() {
-  while (true) {
-    std::shared_ptr<BatchJob> job;
-    {
-      std::unique_lock<std::mutex> lock(batch_mu_);
-      batch_cv_.wait(lock, [&] {
-        if (batch_stop_) return true;
-        for (const std::shared_ptr<BatchJob>& queued : batch_queue_) {
-          if (queued->next.load(std::memory_order_relaxed) <
-              queued->tasks.size()) {
-            return true;
-          }
-        }
-        return false;
-      });
-      if (batch_stop_) return;
-      for (const std::shared_ptr<BatchJob>& queued : batch_queue_) {
-        if (queued->next.load(std::memory_order_relaxed) <
-            queued->tasks.size()) {
-          job = queued;
-          break;
-        }
-      }
-    }
-    if (job == nullptr) continue;
-    Status fault =
-        options_.fault_hooks.Fire(FaultSite::kBatchWorker, "batch worker");
-    if (!fault.ok()) {
-      // Abandon the round: the calling thread always drains its own job
-      // (`RunBatchTasks` participates), so every task still completes —
-      // the batch just loses this worker's parallelism. Yield so a
-      // persistently-failing hook cannot starve the caller of the core.
-      batch_worker_faults_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
-      continue;
-    }
-    DrainBatchJob(job.get());
   }
 }
 
 void Engine::RunBatchTasks(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
-  size_t workers = options_.batch_workers != 0
-                       ? options_.batch_workers
-                       : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min(workers, tasks.size());
-  if (workers <= 1) {
+  const size_t helpers = std::min(BatchWidth(), tasks.size()) - 1;
+  if (helpers == 0) {
     for (std::function<void()>& task : tasks) task();
     return;
   }
   auto job = std::make_shared<BatchJob>();
   job->tasks = std::move(tasks);
   {
-    std::lock_guard<std::mutex> lock(batch_mu_);
+    std::lock_guard<std::mutex> lock(pool_mu_);
     batch_queue_.push_back(job);
-    // Lazy, persistent pool (same idiom as the build pool): the caller
-    // is always one worker, so the pool holds at most workers - 1
-    // threads. Grown monotonically; joined by the destructor.
-    while (batch_workers_.size() < workers - 1) {
-      batch_workers_.emplace_back([this] { BatchWorkerLoop(); });
-    }
+    GrowPoolLocked(helpers);
   }
-  batch_cv_.notify_all();
+  for (size_t h = 0; h < helpers; ++h) pool_cv_.notify_one();
   DrainBatchJob(job.get());
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  batch_done_cv_.wait(lock, [&] {
+  std::unique_lock<std::mutex> lock(pool_mu_);
+  pool_done_cv_.wait(lock, [&] {
     return job->done.load(std::memory_order_acquire) == job->tasks.size();
   });
   batch_queue_.erase(
@@ -1320,8 +1272,8 @@ void Engine::RunBatchTasks(std::vector<std::function<void()>> tasks) {
 }
 
 size_t Engine::batch_pool_size() const {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  return batch_workers_.size();
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return pool_.size();
 }
 
 std::vector<Result<ExecutionResult>> Engine::ExecuteBatch(

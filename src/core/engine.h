@@ -33,7 +33,7 @@
 /// base-graph writes and are re-bound to each query's literals.
 ///
 /// View materializations scheduled by `ApplyAdvice` do **not** run under
-/// the writer lock: a background worker pins the base under a brief
+/// the writer lock: a pool thread pins the base under a brief
 /// reader lock (one O(|V|+|E|) graph copy), materializes against the
 /// pinned copy with *no engine lock held at all* — readers and writers
 /// both keep flowing — then takes one short writer critical section to
@@ -48,10 +48,18 @@
 /// partitions each MATCH across worker threads with output identical to
 /// the sequential run.
 ///
-/// `ExecuteBatch` fans a batch of queries across a small persistent
-/// worker pool (started lazily on the first multi-task batch, drained on
-/// shutdown — no per-call thread churn) and returns per-query results in
-/// input order; results are identical to calling `Execute` sequentially.
+/// The engine owns one task pool of up to `max(1, batch_workers - 1)`
+/// threads, started as tasks need them and joined on shutdown. Its queue
+/// has two priorities: `ExecuteBatch` members first (the calling thread
+/// drains its own batch alongside the pool), then background work —
+/// advice builds, quarantine repairs and checkpoints — one task at a
+/// time on the pool's first thread, each eligible from its not-before
+/// time. A repair is a delayed build: it reclaims its quarantined entry
+/// in a short writer section and then takes the same lock-free build
+/// path as an advice build.
+///
+/// `ExecuteBatch` returns per-query results in input order; results are
+/// identical to calling `Execute` sequentially.
 /// Before execution the batch is grouped by *plan shape*: queries whose
 /// chosen plans share a canonical MATCH shape (`Plan::shape_key` —
 /// identical topology, types, plan order, and WHERE structure; only
@@ -139,7 +147,7 @@ struct DurabilityOptions {
   bool enabled() const { return !dir.empty(); }
 };
 
-/// \brief Opt-in self-healing of quarantined views: a background worker
+/// \brief Opt-in self-healing of quarantined views: the engine pool
 /// re-materializes `kQuarantined` catalog entries with capped
 /// exponential backoff, returning them to service without operator
 /// intervention. Off by default — quarantine is deliberately sticky so
@@ -150,7 +158,7 @@ struct SelfHealOptions {
   /// attempt up to `max_backoff`.
   std::chrono::milliseconds initial_backoff{1};
   std::chrono::milliseconds max_backoff{1000};
-  /// Attempts before the worker gives up on a view (it stays
+  /// Attempts before the engine gives up on a view (it stays
   /// quarantined for manual reclaim). 0 = retry forever.
   size_t max_attempts = 8;
 };
@@ -194,11 +202,11 @@ struct EngineOptions {
   /// byte-identically to the unsharded table (row order included;
   /// forwarded to `executor.shards`).
   size_t shards = 1;
-  /// Worker threads for `ExecuteBatch`; 0 = hardware concurrency.
+  /// Threads an `ExecuteBatch` spreads across, the calling thread
+  /// included; 0 = hardware concurrency. The engine task pool holds up
+  /// to `max(1, batch_workers - 1)` threads and also runs the background
+  /// work (view builds, quarantine repairs, checkpoints).
   size_t batch_workers = 4;
-  /// Background view-build workers (started lazily on first
-  /// `ApplyAdvice` with creations).
-  size_t build_workers = 1;
   /// Opt-in self-tuning trigger: when non-zero, the engine runs one
   /// `AutoAdvise` round after every N successful query executions
   /// (tracker-recorded), so deployments adapt without an external
@@ -312,7 +320,7 @@ struct EngineTelemetry {
   /// CSR snapshot productions failed by an injected fault; each one
   /// degraded that query to the legacy (non-CSR) backend.
   size_t snapshot_build_failures = 0;
-  /// Batch-pool workers that abandoned a round via an injected fault
+  /// Pool threads that abandoned a batch via an injected fault
   /// (the calling thread drained the remaining tasks itself).
   size_t batch_worker_faults = 0;
   /// @}
@@ -339,9 +347,9 @@ struct EngineTelemetry {
   size_t checkpoints_written = 0;
   size_t checkpoint_failures = 0;
   /// @}
-  /// \name Self-healing (quarantined-view repair worker).
+  /// \name Self-healing (quarantined-view repairs).
   /// @{
-  size_t quarantine_repairs = 0;  ///< Views returned to kReady by the worker.
+  size_t quarantine_repairs = 0;  ///< Views returned to kReady by a repair.
   size_t repair_failures = 0;     ///< Repair attempts that failed.
   /// @}
 };
@@ -365,7 +373,7 @@ struct DeltaReport {
 /// \brief Outcome of one `ApplyAdvice` call.
 struct AdviceReport {
   size_t views_dropped = 0;
-  /// Builds handed to the background pool (await with `WaitForBuilds`).
+  /// Builds handed to the engine pool (await with `WaitForBuilds`).
   size_t builds_scheduled = 0;
   /// Catalog handles of the scheduled builds, so a caller can collect
   /// exactly *its* builds' outcomes.
@@ -419,8 +427,9 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Joins the background build pool (queued builds are aborted; the
-  /// in-flight one finishes first) and the persistent batch pool.
+  /// Joins the task pool: the running background task finishes first,
+  /// queued builds are aborted and queued repairs and checkpoints are
+  /// dropped.
   ~Engine();
 
   const graph::PropertyGraph& base_graph() const { return base_; }
@@ -459,7 +468,7 @@ class Engine {
   Result<AdvicePlan> Advise();
 
   /// Carries an advice plan out: drops immediately (short writer
-  /// section), schedules each creation on the background build pool and
+  /// section), schedules each creation on the engine pool and
   /// returns without waiting. Re-applying an already-applied plan is a
   /// no-op (AlreadyExists builds and NotFound drops are skipped).
   Result<AdviceReport> ApplyAdvice(const AdvicePlan& plan);
@@ -489,17 +498,17 @@ class Engine {
   /// concurrently with readers, writers, and background builds.
   EngineTelemetry TelemetrySnapshot() const;
 
-  /// Blocks until the background build queue is empty and no build is
-  /// in flight.
+  /// Blocks until no advice build is queued or running. Quarantine
+  /// repairs are not waited for.
   void WaitForBuilds();
 
-  /// Bounded overload: waits up to `timeout` for the build pool to go
-  /// idle. Returns OK when it did, `kDeadlineExceeded` when builds were
+  /// Bounded overload: waits up to `timeout` for the advice builds to
+  /// finish. Returns OK when it did, `kDeadlineExceeded` when builds were
   /// still queued or running at expiry (the builds themselves keep
   /// going — only the wait gives up).
   Status WaitForBuilds(std::chrono::microseconds timeout);
 
-  /// Queued + running background builds (telemetry).
+  /// Queued + running advice builds (telemetry).
   size_t builds_pending() const;
 
   /// Removes and returns the oldest recorded background-build failure,
@@ -514,7 +523,7 @@ class Engine {
 
   /// \name Background-build telemetry.
   /// @{
-  /// Builds published (clean, replayed, or rebuilt).
+  /// Builds published (clean, replayed, or rebuilt), repairs included.
   size_t builds_completed() const {
     return builds_completed_.load(std::memory_order_relaxed);
   }
@@ -592,9 +601,10 @@ class Engine {
   /// grouped by plan shape (same-shape groups of at least
   /// `ExecutorOptions::fusion.min_group_size` run as one fused
   /// traversal; everything else runs solo), and the resulting tasks are
-  /// spread across the persistent batch pool (`batch_workers` wide) with
-  /// the calling thread participating. Reader — the caller holds the
-  /// shared lock for the whole batch; pool workers run under its hold.
+  /// spread across the engine pool (`batch_workers` wide, the calling
+  /// thread included), ahead of any queued background work. Reader —
+  /// the caller holds the shared lock for the whole batch; pool threads
+  /// run under its hold.
   /// The batch is one admission unit: a gate rejection fills every slot
   /// with `kUnavailable`. The effective deadline covers every member;
   /// members that miss it fail individually with `kDeadlineExceeded`
@@ -645,8 +655,9 @@ class Engine {
   }
   /// @}
 
-  /// Threads currently in the persistent batch pool (telemetry; the
-  /// pool starts lazily and persists across batches).
+  /// Threads in the engine task pool. It starts empty and grows as tasks
+  /// need threads — one for background work, one per helper a batch
+  /// can use — up to `max(1, batch_workers - 1)`; threads persist.
   size_t batch_pool_size() const;
 
   /// \name Durability.
@@ -673,7 +684,7 @@ class Engine {
 
   /// \name Self-healing telemetry.
   /// @{
-  /// Quarantined views the repair worker returned to service.
+  /// Quarantined views a repair returned to service.
   size_t quarantine_repairs() const {
     return quarantine_repairs_.load(std::memory_order_relaxed);
   }
@@ -700,6 +711,17 @@ class Engine {
     ViewDefinition definition;
   };
 
+  /// Low-priority pool work, run one task at a time once `not_before`
+  /// has passed.
+  struct BackgroundTask {
+    enum class Kind { kBuild, kRepair, kCheckpoint };
+    Kind kind = Kind::kBuild;
+    std::chrono::steady_clock::time_point not_before{};
+    /// kBuild: the reserved placeholder. kRepair: the quarantined view's
+    /// definition (no handle until the repair reclaims the entry).
+    BuildJob job;
+  };
+
   /// One `ApplyDelta` batch retained while builds are in flight, so a
   /// build pinned before it can replay it at publish time. Holds the
   /// batch's footprint (removal ids + insert counts — insert payloads
@@ -711,9 +733,9 @@ class Engine {
   };
 
   /// One `ExecuteBatch` call's work queue: independent tasks (fused
-  /// groups and singletons) claimed by pool workers and the calling
-  /// thread alike. Lives on the queue as a shared_ptr so a worker can
-  /// outlast the caller's erase.
+  /// groups and singletons) claimed by pool threads and the calling
+  /// thread alike. Lives on the queue as a shared_ptr so a pool thread
+  /// can outlast the caller's erase.
   struct BatchJob {
     std::vector<std::function<void()>> tasks;
     std::atomic<size_t> next{0};  ///< Next unclaimed task index.
@@ -763,19 +785,38 @@ class Engine {
   Status AdmitQuery();
   void ReleaseQuery();
 
-  /// Spreads `tasks` across the persistent batch pool and the calling
-  /// thread; returns when all tasks ran. Starts pool threads lazily (at
-  /// most `batch_workers - 1`: the caller is always one worker). The
-  /// caller must hold the reader lock — pool workers take no engine
-  /// lock and run under the caller's hold.
+  /// Spreads `tasks` across up to `batch_workers - 1` pool threads and
+  /// the calling thread; returns when all tasks ran. The caller must
+  /// hold the reader lock — pool threads take no engine lock for batch
+  /// tasks and run under the caller's hold.
   void RunBatchTasks(std::vector<std::function<void()>> tasks);
 
-  /// Batch-pool worker: claims tasks from queued jobs until stopped.
-  void BatchWorkerLoop();
-
   /// Claims and runs `job`'s tasks until none remain; notifies
-  /// `batch_done_cv_` when the last task of the job completes.
+  /// `pool_done_cv_` when the last task of the job completes.
   void DrainBatchJob(BatchJob* job);
+
+  /// `batch_workers`, with 0 resolved to the hardware concurrency.
+  size_t BatchWidth() const;
+
+  /// Pool thread: runs open batch jobs first, then (on the one thread
+  /// with `runs_background`) due background tasks one at a time, until
+  /// stopped.
+  void PoolWorker(bool runs_background);
+
+  /// Starts pool threads until the pool holds `threads` of them, capped
+  /// at `max(1, batch_workers - 1)`; none once the engine is shutting
+  /// down. Caller holds `pool_mu_`.
+  void GrowPoolLocked(size_t threads);
+
+  /// Queues `task` and starts the pool's first thread if needed. Caller
+  /// holds `pool_mu_`.
+  void EnqueueBackgroundLocked(BackgroundTask task);
+
+  /// Queued + running advice builds. Caller holds `pool_mu_`.
+  size_t BuildsPendingLocked() const;
+
+  /// Runs one background task on the calling pool thread.
+  void RunBackgroundTask(const BackgroundTask& task);
 
   /// Fires one `AutoAdvise` round when the recorded-execution count
   /// crossed the `auto_advise_every_n_ops` threshold. MUST be called
@@ -792,22 +833,20 @@ class Engine {
 
   /// `ApplyAdvice` with optional error reservation: when
   /// `reserve_errors` is set, each scheduled handle is reserved (under
-  /// `build_mu_`, before the job is runnable) so a concurrent
+  /// `pool_mu_`, before the job is runnable) so a concurrent
   /// `TakeBuildError` drain can never steal this round's failures.
   Result<AdviceReport> ApplyAdviceImpl(const AdvicePlan& plan,
                                        bool reserve_errors);
 
-  /// Schedules `job` on the build pool, reserving its error handle
+  /// Schedules `job` on the engine pool, reserving its error handle
   /// first when asked. Caller holds the writer lock.
   void EnqueueBuildLocked(BuildJob job, bool reserve_errors);
 
-  /// Build-pool worker: drains the queue until stopped.
-  void BuildWorkerLoop();
-
   /// Runs one build to completion: copy the base under the reader lock,
   /// materialize with no lock held, publish under the writer lock,
-  /// replaying or rebuilding when the base moved mid-build.
-  void RunBuildJob(BuildJob job);
+  /// replaying or rebuilding when the base moved mid-build. On failure
+  /// the entry is left `kBuilding` for the caller to quarantine.
+  Status RunBuildJob(const BuildJob& job);
 
   /// Records a failed build and quarantines its catalog entry (the
   /// name stays reserved, with the failure in `CatalogEntry::health`).
@@ -832,14 +871,8 @@ class Engine {
       std::string payload);
 
   /// After releasing `mu_`: waits out the fsync policy for `token` and
-  /// pokes the background checkpointer when the WAL-bytes threshold is
-  /// crossed.
+  /// queues a checkpoint task when the WAL-bytes threshold is crossed.
   Status FinishMutationDurably(durability::WriteAheadLog::AppendToken token);
-
-  /// Background checkpointer: waits for the WAL-bytes trigger, runs
-  /// `Checkpoint`, counts failures (the WAL keeps everything, so a
-  /// failed checkpoint only defers truncation).
-  void CheckpointLoop();
 
   /// Rewrites the `views.cat` sidecar with the catalog's current
   /// definition set (caller holds `mu_` exclusively). The sidecar is
@@ -851,12 +884,16 @@ class Engine {
   /// \name Self-healing internals.
   /// @{
 
-  /// Wakes the repair worker (a view was quarantined or re-quarantined).
-  void NotifyRepair();
+  /// Caller holds the writer lock. Queues a repair for every
+  /// quarantined view that has none queued or running and attempts
+  /// left, due after its capped exponential backoff. No-op unless
+  /// `self_heal.enabled`.
+  void ScheduleRepairsLocked();
 
-  /// Repair worker: scans for quarantined views and re-materializes
-  /// them with capped exponential backoff per view name.
-  void RepairLoop();
+  /// One repair attempt: reclaims the entry if it is still quarantined,
+  /// rebuilds it through `RunBuildJob`, and re-quarantines it (and
+  /// reschedules) on failure.
+  void RunRepair(const ViewDefinition& definition);
 
   /// @}
 
@@ -874,7 +911,7 @@ class Engine {
   /// shared. glibc's `std::shared_mutex` admits new readers while a
   /// writer waits, so back-to-back queries could otherwise starve
   /// `ApplyDelta` indefinitely. Only those two entry points wait: other
-  /// readers (build pins, checkpoints, repair scans) can run while a
+  /// readers (build pins, checkpoints) can run while a
   /// thread already holds `mu_` shared, and would deadlock behind a
   /// writer that waits for that thread.
   std::mutex writer_turn_;
@@ -887,15 +924,20 @@ class Engine {
   /// base version they produced. Guarded by `mu_`.
   std::vector<PendingDelta> delta_log_;
 
-  /// \name Background build pool (guarded by `build_mu_`).
+  /// \name Engine task pool (guarded by `pool_mu_`). Threads start as
+  /// batches and background tasks need them and are joined by the
+  /// destructor. Pool threads take no engine lock for batch tasks — the
+  /// `ExecuteBatch` caller holds the reader lock for the whole batch.
   /// @{
-  mutable std::mutex build_mu_;
-  std::condition_variable build_cv_;       ///< Workers: queue non-empty/stop.
-  std::condition_variable build_idle_cv_;  ///< Waiters: pool drained.
-  std::deque<BuildJob> build_queue_;
-  size_t builds_running_ = 0;
-  bool build_stop_ = false;
-  std::vector<std::thread> build_workers_;
+  mutable std::mutex pool_mu_;
+  std::condition_variable pool_cv_;  ///< Pool: work queued, task due, stop.
+  /// Waiters: a batch job drained or a background task finished.
+  std::condition_variable pool_done_cv_;
+  std::deque<std::shared_ptr<BatchJob>> batch_queue_;
+  std::deque<BackgroundTask> background_queue_;
+  /// Kind of the background task the pool is running, if any.
+  std::optional<BackgroundTask::Kind> background_running_;
+  bool pool_stop_ = false;
   /// Failures tagged with the failed build's handle, so a blocking
   /// caller collects exactly the failures of the builds *it* scheduled
   /// without stealing (or being confused by) a concurrent round's.
@@ -904,22 +946,14 @@ class Engine {
   /// `TakeBuildError` skips them so a concurrent drain cannot steal a
   /// failure `AnalyzeWorkload` is about to report.
   std::set<ViewHandle> reserved_error_handles_;
-  /// @}
-
-  /// \name Persistent batch-execution pool (guarded by `batch_mu_`).
-  /// Started lazily by the first `ExecuteBatch` with more tasks than
-  /// one thread should run; threads persist across batches (the old
-  /// implementation spawned and joined a fresh pool per call) and are
-  /// joined by the destructor. Workers never take the engine lock — the
-  /// `ExecuteBatch` caller holds the reader lock for the whole batch,
-  /// which covers every task the pool runs for it.
-  /// @{
-  mutable std::mutex batch_mu_;
-  std::condition_variable batch_cv_;       ///< Workers: tasks queued/stop.
-  std::condition_variable batch_done_cv_;  ///< Callers: their job drained.
-  std::deque<std::shared_ptr<BatchJob>> batch_queue_;
-  bool batch_stop_ = false;
-  std::vector<std::thread> batch_workers_;
+  /// Per-view repair progress, keyed by view name. An entry whose
+  /// repair is not scheduled and whose view left quarantine is pruned
+  /// by the next `ScheduleRepairsLocked`.
+  struct RepairState {
+    size_t attempts = 0;     ///< Failed attempts so far.
+    bool scheduled = false;  ///< A repair task is queued or running.
+  };
+  std::unordered_map<std::string, RepairState> repair_state_;
   /// @}
 
   std::atomic<size_t> builds_completed_{0};
@@ -968,35 +1002,17 @@ class Engine {
   std::atomic<uint64_t> wal_bytes_since_checkpoint_{0};
   std::atomic<size_t> checkpoints_written_{0};
   std::atomic<size_t> checkpoint_failures_{0};
-  /// Checkpointer thread state (guarded by `checkpoint_mu_`).
-  mutable std::mutex checkpoint_mu_;
-  std::condition_variable checkpoint_cv_;
-  bool checkpoint_requested_ = false;
-  bool checkpoint_stop_ = false;
   /// Serializes Checkpoint() runs (manual + background) so two
   /// checkpointers never interleave their truncations.
   std::mutex checkpoint_run_mu_;
-  std::thread checkpoint_thread_;
   /// @}
 
-  /// \name Self-healing state (guarded by `repair_mu_`).
-  /// @{
-  struct RepairState {
-    size_t attempts = 0;
-    std::chrono::steady_clock::time_point next_attempt;
-    bool gave_up = false;
-  };
-  mutable std::mutex repair_mu_;
-  std::condition_variable repair_cv_;
-  bool repair_poke_ = false;
-  bool repair_stop_ = false;
-  /// Per-view backoff, keyed by view name; pruned when the view leaves
-  /// quarantine (repaired, reclaimed manually, or removed).
-  std::unordered_map<std::string, RepairState> repair_state_;
-  std::thread repair_thread_;
   std::atomic<size_t> quarantine_repairs_{0};
   std::atomic<size_t> repair_failures_{0};
-  /// @}
+
+  /// The task pool's threads (guarded by `pool_mu_`). Declared last:
+  /// they use every member above, and `~Engine` joins them first.
+  std::vector<std::thread> pool_;
 };
 
 }  // namespace kaskade::core

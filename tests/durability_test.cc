@@ -816,6 +816,47 @@ TEST(EngineDurabilityTest, BackgroundCheckpointerTriggersOnWalGrowth) {
   EXPECT_GT(engine.checkpoints_written(), 0u);
 }
 
+size_t ThreadCount() {
+  size_t threads = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(EngineDurabilityTest, EngineStartsNoThreadUntilWorkArrives) {
+  TempDir dir("engine_threads");
+  EngineOptions options;
+  options.durability.dir = dir.str();
+  // No group-commit flusher: the log syncs on the writer's thread.
+  options.durability.fsync_policy = FsyncPolicy::kEveryWrite;
+  options.durability.checkpoint_wal_bytes = 1;  // Every mutation trips it.
+  options.self_heal.enabled = true;
+  options.batch_workers = 3;
+
+  const size_t before = ThreadCount();
+  Engine engine(SmallProv(), options);
+  ASSERT_TRUE(engine.durability_error().ok());
+  EXPECT_LE(ThreadCount(), before);
+  EXPECT_EQ(engine.batch_pool_size(), 0u);
+
+  // A checkpoint trigger starts the pool's one background thread, and
+  // the checkpoint runs on it.
+  GraphDelta delta;
+  delta.AddVertex("Job");
+  ASSERT_TRUE(engine.ApplyDelta(std::move(delta)).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.checkpoints_written() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GT(engine.checkpoints_written(), 0u);
+  EXPECT_EQ(engine.batch_pool_size(), 1u);
+  EXPECT_LE(ThreadCount(), before + engine.batch_pool_size());
+}
+
 TEST(EngineDurabilityTest, WalAppendFaultSurfacesAsMutationError) {
   TempDir dir("engine_append_fault");
   std::atomic<bool> armed{false};

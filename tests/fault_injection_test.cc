@@ -8,9 +8,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/catalog.h"
@@ -386,6 +390,177 @@ TEST(FaultInjectionTest, SelfHealRepairsQuarantinedViewAfterOneShotFault) {
   ASSERT_TRUE(after.ok()) << after.status();
   ASSERT_TRUE(after_expected.ok()) << after_expected.status();
   EXPECT_EQ(CanonicalRows(after->table), CanonicalRows(after_expected->table));
+}
+
+TEST(FaultInjectionTest, SelfHealRepairRunsWithoutBlockingReadersOrWriters) {
+  // A one-shot maintainer fault quarantines the view; the repair's build
+  // then parks in the materialize hook until the test releases it.
+  struct Latch {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+  };
+  auto latch = std::make_shared<Latch>();
+  auto maintainer_fault = std::make_shared<std::atomic<bool>>(true);
+  const std::string view_name = JobConnector().Name();
+
+  EngineOptions options;
+  options.self_heal.enabled = true;
+  options.fault_hooks.hook = [latch, maintainer_fault, view_name](
+                                 FaultSite site, const std::string& detail) {
+    if (detail != view_name) return Status::OK();
+    if (site == FaultSite::kMaintainerApply &&
+        maintainer_fault->exchange(false)) {
+      return Status::Internal("injected one-shot maintainer fault");
+    }
+    if (site == FaultSite::kMaterialize) {
+      std::unique_lock<std::mutex> lock(latch->mu);
+      latch->entered = true;
+      latch->cv.notify_all();
+      latch->cv.wait(lock, [&] { return latch->released; });
+    }
+    return Status::OK();
+  };
+  auto release = [latch] {
+    std::lock_guard<std::mutex> lock(latch->mu);
+    latch->released = true;
+    latch->cv.notify_all();
+  };
+  Engine subject(FaultProv(), options);
+  Engine oracle(FaultProv());
+  ASSERT_TRUE(subject.AddMaterializedView(JobConnector()).ok());
+  ASSERT_TRUE(oracle.AddMaterializedView(JobConnector()).ok());
+
+  const graph::PropertyGraph& base = oracle.base_graph();
+  std::vector<graph::VertexId> jobs =
+      base.VerticesOfType(base.schema().FindVertexType("Job"));
+  std::vector<graph::VertexId> files =
+      base.VerticesOfType(base.schema().FindVertexType("File"));
+  ASSERT_FALSE(jobs.empty());
+  ASSERT_FALSE(files.empty());
+  auto first_delta = [&] {
+    graph::GraphDelta delta;
+    delta.AddEdge(jobs.front(), files.back(), "WRITES_TO");
+    return delta;
+  };
+  auto second_delta = [&] {
+    graph::GraphDelta delta;
+    delta.AddEdge(files.front(), jobs.back(), "IS_READ_BY");
+    return delta;
+  };
+  ASSERT_TRUE(subject.ApplyDelta(first_delta()).ok());
+  ASSERT_TRUE(oracle.ApplyDelta(first_delta()).ok());
+
+  bool entered;
+  {
+    std::unique_lock<std::mutex> lock(latch->mu);
+    entered = latch->cv.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return latch->entered; });
+  }
+  if (!entered) {
+    release();
+    FAIL() << "the repair never reached the materialize site";
+  }
+
+  // With the repair parked mid-build, a reader answers exactly from the
+  // base and a writer commits; neither waits for the repair.
+  const std::string text = datasets::AncestorsQueryText("Job", 2);
+  auto expected_during = oracle.Execute(text);
+  ASSERT_TRUE(expected_during.ok()) << expected_during.status();
+  auto during = std::async(std::launch::async, [&] {
+    auto read = subject.Execute(text);
+    Status wrote = subject.ApplyDelta(second_delta()).status();
+    return std::make_pair(std::move(read), wrote);
+  });
+  const bool finished = during.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  release();
+  ASSERT_TRUE(finished) << "a reader or writer waited for the repair";
+  auto [read, wrote] = during.get();
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_FALSE(read->used_view);
+  EXPECT_EQ(CanonicalRows(read->table), CanonicalRows(expected_during->table));
+  ASSERT_TRUE(wrote.ok()) << wrote;
+  ASSERT_TRUE(oracle.ApplyDelta(second_delta()).ok());
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (subject.TelemetrySnapshot().quarantine_repairs == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EngineTelemetry telemetry = subject.TelemetrySnapshot();
+  EXPECT_EQ(telemetry.quarantine_repairs, 1u);
+  EXPECT_EQ(telemetry.repair_failures, 0u);
+  EXPECT_EQ(telemetry.views_quarantined, 0u);
+  // The delta that landed mid-repair was replayed at publish.
+  EXPECT_EQ(telemetry.builds_replayed, 1u);
+  const CatalogEntry* healed = subject.catalog().Find(view_name);
+  ASSERT_NE(healed, nullptr);
+  EXPECT_EQ(healed->state, ViewState::kReady);
+  auto expected = oracle.Execute(text);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  auto got = subject.Execute(text);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(CanonicalRows(got->table), CanonicalRows(expected->table));
+}
+
+TEST(FaultInjectionTest, SelfHealGivesUpAfterMaxAttempts) {
+  // Every materialization of the view fails: the advice build, then
+  // each repair.
+  auto state = std::make_shared<FaultState>();
+  state->site = FaultSite::kMaterialize;
+  state->only_detail = JobConnector().Name();
+
+  EngineOptions options;
+  options.fault_hooks = FailingHooks(state);
+  options.self_heal.enabled = true;
+  options.self_heal.initial_backoff = std::chrono::milliseconds(1);
+  options.self_heal.max_backoff = std::chrono::milliseconds(4);
+  options.self_heal.max_attempts = 3;
+  Engine subject(FaultProv(), options);
+  Engine oracle(FaultProv());
+
+  AdvicePlan plan;
+  plan.create.push_back(JobConnector());
+  ASSERT_TRUE(subject.ApplyAdvice(plan).ok());
+  subject.WaitForBuilds();
+  EXPECT_FALSE(subject.TakeBuildError().ok());
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (subject.TelemetrySnapshot().repair_failures < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // Well past the longest backoff: no fourth attempt follows.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EngineTelemetry telemetry = subject.TelemetrySnapshot();
+  EXPECT_EQ(telemetry.repair_failures, 3u);
+  EXPECT_EQ(telemetry.quarantine_repairs, 0u);
+  EXPECT_EQ(telemetry.views_quarantined, 1u);
+  EXPECT_EQ(state->failed.load(), 4u);  // the advice build + 3 repairs
+  const CatalogEntry* entry = subject.catalog().Find(JobConnector().Name());
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->state, ViewState::kQuarantined);
+  EXPECT_FALSE(entry->health.ok());
+
+  // Queries answer exactly from the base graph.
+  for (const std::string& text : {datasets::AncestorsQueryText("Job", 2),
+                                  datasets::DescendantsQueryText("Job", 3)}) {
+    auto expected = oracle.Execute(text);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    auto got = subject.Execute(text);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_FALSE(got->used_view);
+    EXPECT_EQ(CanonicalRows(got->table), CanonicalRows(expected->table));
+  }
+
+  // An operator retires the broken view.
+  ASSERT_TRUE(subject.RemoveView(JobConnector().Name()).ok());
+  EXPECT_EQ(subject.catalog().Find(JobConnector().Name()), nullptr);
+  EXPECT_EQ(subject.TelemetrySnapshot().views_quarantined, 0u);
 }
 
 }  // namespace
