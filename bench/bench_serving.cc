@@ -39,8 +39,8 @@
 ///   --smoke       seconds-scale 2-phase spec for the CI bench-smoke job
 ///   --spec        run a spec file instead of the built-in one
 ///   --seed        override the spec seed (reproducibility experiments)
-///   --shards      vertex shards for the snapshot/patch pipeline and the
-///                 MATCH scatter-gather backends (default 1 = unsharded)
+///   --shards      vertex shards for the base graph's snapshot/patch
+///                 pipeline (default 1 = unsharded)
 ///   --durability  none|batch|every_write: run the engine durable (WAL in
 ///                 a throwaway dir, given fsync policy) and report the
 ///                 write-path overhead in the JSON durability section

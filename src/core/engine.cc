@@ -66,9 +66,6 @@ Engine::Engine(graph::PropertyGraph base_graph, EngineOptions options,
       options_(options),
       catalog_(&base_, options.shards),
       planner_(MakePlannerOptions(options)) {
-  // The MATCH backends shard their seed scatter on the same boundaries
-  // the snapshot pipeline shards on; one knob drives both layers.
-  options_.executor.shards = std::max<size_t>(1, options_.shards);
   next_auto_advise_at_.store(options_.auto_advise_every_n_ops,
                              std::memory_order_relaxed);
   if (options_.fault_hooks.enabled()) {

@@ -192,15 +192,13 @@ struct EngineOptions {
   /// offline analysis, online advice, and plan choice share one budget
   /// and cost model.
   AdvisorOptions advisor;
-  /// Shard count for the base graph's snapshot pipeline and the MATCH
-  /// scatter-gather layer. Vertices hash-partition across shards on
-  /// immutable-segment boundaries (`graph::ShardOfVertex`); each shard
-  /// owns its slice of the snapshot store and a writer lock
-  /// (core/segment_store.h), so concurrent snapshot refreshes touching
-  /// disjoint shards do not serialize, and with `shards >= 2` the CSR
-  /// MATCH backends scatter seeds across shards and gather results
-  /// byte-identically to the unsharded table (row order included;
-  /// forwarded to `executor.shards`).
+  /// Shard count for the base graph's snapshot pipeline. Vertices
+  /// partition across shards on immutable-segment boundaries
+  /// (`graph::ShardOfSegment`); each shard owns its slice of the
+  /// snapshot store and a writer lock (core/segment_store.h), so
+  /// concurrent snapshot refreshes touching disjoint shards do not
+  /// serialize. Queries read the assembled snapshot whatever the shard
+  /// count: MATCH splits its seeds by `executor.parallelism` alone.
   size_t shards = 1;
   /// Threads an `ExecuteBatch` spreads across, the calling thread
   /// included; 0 = hardware concurrency. The engine task pool holds up

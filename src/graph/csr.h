@@ -41,8 +41,8 @@
 /// `BuildSegment` and `PatchSegment` derive every row through one
 /// per-vertex routine, and a copied row is a row that routine wrote
 /// earlier, so a patched snapshot is bit-identical to a fresh build by
-/// construction. The segment boundaries double as the engine's shard
-/// boundaries (`ShardOfVertex`).
+/// construction. The segment boundaries double as the snapshot
+/// pipeline's shard boundaries (`ShardOfSegment`).
 
 #ifndef KASKADE_GRAPH_CSR_H_
 #define KASKADE_GRAPH_CSR_H_
@@ -71,13 +71,9 @@ inline size_t CsrSegmentCount(size_t n) {
   return (n + kCsrSegmentVertices - 1) >> kCsrSegmentShift;
 }
 
-/// \brief Shard router: vertices map to shards by segment, so one
-/// segment (and everything a patch rebuilds) lives in exactly one
-/// shard. Used by the engine's segment store and the MATCH
-/// scatter-gather layer; `shards == 1` maps everything to 0.
-inline uint32_t ShardOfVertex(VertexId v, size_t shards) {
-  return static_cast<uint32_t>(CsrSegmentOf(v) % shards);
-}
+/// \brief Shard router of the engine's segment store: segments map to
+/// shards round-robin, so one segment (and everything a patch rebuilds)
+/// lives in exactly one shard; `shards == 1` maps everything to 0.
 inline uint32_t ShardOfSegment(size_t segment, size_t shards) {
   return static_cast<uint32_t>(segment % shards);
 }

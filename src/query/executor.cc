@@ -467,8 +467,7 @@ struct MatchRows {
 };
 
 /// \brief CSR MATCH driver: resolves and plans once, then runs the
-/// backtracking sequentially, seed-partitioned across worker threads, or
-/// scattered over engine shards.
+/// backtracking sequentially or seed-partitioned across worker threads.
 ///
 /// Parallel determinism: the top-level seed candidates are materialized
 /// once in the same order the sequential run enumerates them, split
@@ -495,10 +494,6 @@ class CsrMatchEvaluator {
             ? std::max(1u, std::thread::hardware_concurrency())
             : options_.parallelism;
     workers = std::min(workers, std::max<size_t>(1, seeds.size()));
-
-    if (options_.shards > 1) {
-      return RunSharded(&rm, seeds, workers, stats);
-    }
 
     if (workers <= 1) {
       CsrMatchRunner runner(graph_, csr_, rm, options_.max_rows,
@@ -527,113 +522,6 @@ class CsrMatchEvaluator {
       if (graph_.IsVertexLive(v)) all.push_back(v);
     }
     return all;
-  }
-
-  /// Scatter-gather over engine shards: seeds are partitioned by
-  /// `ShardOfVertex` (relative order preserved), one runner per shard
-  /// walks its seeds recording the row span each seed produced, and the
-  /// gather replays the spans in the *original* seed order with global
-  /// first-occurrence dedup. Byte-identity with the unsharded run: the
-  /// first overall emitter of a row is its earliest-emitting seed k; no
-  /// earlier seed in k's shard emitted it (they run before k on the same
-  /// runner), so k's span contains it, and the seed-order gather meets
-  /// it first at k — exactly where the sequential run first emits it.
-  /// Workers claim whole shards off an atomic counter (cross-shard
-  /// parallelism); `workers == 1` runs the shards inline. With
-  /// `seeds_disjoint` no two seeds share a row, and the gather
-  /// concatenates the spans.
-  Result<MatchRows> RunSharded(ResolvedMatch* rm,
-                           const std::vector<VertexId>& seeds, size_t workers,
-                           ExecutionTiming* stats) const {
-    const size_t shards = options_.shards;
-    struct SeedSpan {
-      uint32_t shard = 0;
-      size_t begin_row = 0;
-      size_t end_row = 0;
-    };
-    std::vector<SeedSpan> spans(seeds.size());
-    std::vector<std::vector<size_t>> shard_seeds(shards);
-    for (size_t i = 0; i < seeds.size(); ++i) {
-      const uint32_t s = graph::ShardOfVertex(seeds[i], shards);
-      spans[i].shard = s;
-      shard_seeds[s].push_back(i);
-    }
-
-    std::vector<std::unique_ptr<CsrMatchRunner>> runners(shards);
-    std::vector<Status> statuses(shards, Status::OK());
-    std::atomic<bool> abort{false};
-    auto run_shard = [&](size_t s) {
-      runners[s] = std::make_unique<CsrMatchRunner>(
-          graph_, csr_, *rm, options_.max_rows, options_.deadline, &abort);
-      for (size_t i : shard_seeds[s]) {
-        if (abort.load(std::memory_order_relaxed)) {
-          statuses[s] = internal::CancelledBySiblingError();
-          return;
-        }
-        spans[i].begin_row = runners[s]->rows().size();
-        Status st = runners[s]->RunSeedRange(seeds, i, i + 1);
-        spans[i].end_row = runners[s]->rows().size();
-        if (!st.ok()) {
-          statuses[s] = st;
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    };
-
-    const size_t pool_size = std::min(workers, shards);
-    if (pool_size <= 1) {
-      for (size_t s = 0; s < shards && !abort.load(std::memory_order_relaxed);
-           ++s) {
-        run_shard(s);
-      }
-    } else {
-      std::atomic<size_t> next_shard{0};
-      auto work = [&] {
-        while (!abort.load(std::memory_order_relaxed)) {
-          size_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
-          if (s >= shards) break;
-          run_shard(s);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(pool_size);
-      for (size_t w = 0; w < pool_size; ++w) pool.emplace_back(work);
-      for (std::thread& t : pool) t.join();
-    }
-
-    for (const auto& runner : runners) {
-      if (runner != nullptr) {
-        stats->expansions += runner->expansions();
-        stats->deadline_checks += runner->deadline_checks();
-      }
-    }
-    // Prefer the first originating error in shard order, exactly as the
-    // parallel driver prefers it in worker order: row-limit stays
-    // row-limit and deadline stays deadline regardless of which shard
-    // noticed first.
-    for (const Status& st : statuses) {
-      if (!st.ok() && !internal::IsCancelledBySibling(st)) return st;
-    }
-    for (const Status& st : statuses) {
-      if (!st.ok()) return st;
-    }
-
-    // Gather in original seed order with global first-occurrence dedup.
-    RowSet merged(rm->return_slots.size(),
-                  /*deduplicate=*/!rm->seeds_disjoint);
-    for (size_t i = 0; i < seeds.size(); ++i) {
-      const SeedSpan& sp = spans[i];
-      if (runners[sp.shard] == nullptr) {
-        return Status::Internal("unprocessed shard without an error");
-      }
-      merged.InsertRange(runners[sp.shard]->rows(), sp.begin_row,
-                         sp.end_row);
-      if (merged.size() > options_.max_rows) {
-        return Status::ResourceExhausted("MATCH row limit exceeded");
-      }
-    }
-    return MatchRows{std::move(rm->columns), std::move(merged)};
   }
 
   Result<MatchRows> RunParallel(ResolvedMatch* rm,

@@ -8,7 +8,7 @@
 /// the match rows.
 ///
 /// Rows are materialized late. The CSR MATCH drivers (sequential,
-/// seed-parallel, sharded) produce one flat array of distinct `VertexId`
+/// seed-parallel, fused) produce one flat array of distinct `VertexId`
 /// rows; a bare MATCH turns it into a `Table` once, at the end, writing
 /// its cells straight into the table's single row-major cell array. A
 /// SELECT layer reads and writes column batches (vertex columns as id
@@ -39,8 +39,8 @@
 /// a fixed-length expansion (which walks parallel edges as they are),
 /// each row is a whole binding and no two are equal, so rows are
 /// appended as they come. When the top seed's variable is returned, the
-/// parallel and sharded merges concatenate their per-block or per-seed
-/// row ranges, since rows of different seeds differ in that column.
+/// parallel merge concatenates its per-block row ranges, since rows of
+/// different seeds differ in that column.
 /// EXPLAIN's `rows:` line says which case a MATCH is in.
 ///
 /// Two MATCH backends share one resolver and planner:
@@ -101,14 +101,6 @@ struct ExecutorOptions {
   /// concurrency. Parallel output is identical to sequential output,
   /// including row order.
   size_t parallelism = 1;
-  /// Engine shard count (`EngineOptions::shards`). When > 1 the CSR
-  /// MATCH backends scatter the top-level seeds across shards by
-  /// `graph::ShardOfVertex` — one traversal per shard, workers claiming
-  /// shards — and gather the per-seed row spans back in the original
-  /// seed order with global first-occurrence dedup, so the merged table
-  /// is byte-identical to the unsharded run, row order included. 1 =
-  /// today's unsharded paths, byte-identical by construction.
-  size_t shards = 1;
   /// Cross-query fusion on the engine's batch path.
   FusionOptions fusion;
   /// Cooperative evaluation deadline. `time_point{}` (the default)

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -165,22 +164,6 @@ class FusedMatchRunner {
   }
 
   void Run() { Backtrack(0, root_mask_.data()); }
-
-  /// One top-level seed candidate (the first plan step is always an
-  /// unbound seed): mirrors one iteration of `Run()`'s seed loop, for
-  /// the scatter-gather driver that partitions the candidates by shard.
-  void RunSeed(VertexId v) {
-    const size_t slot = static_cast<size_t>(rm_.plan[0].node_slot);
-    uint64_t* narrowed = masks_[0].data();
-    ++expansions_;
-    if (guard_.Charge(1)) return;
-    if (!FusedAccept(slot, v, root_mask_.data(), narrowed)) return;
-    binding_[slot] = v;
-    Backtrack(1, narrowed);
-    binding_[slot] = graph::kInvalidId;
-  }
-
-  bool all_members_failed() const { return AllFailed(); }
 
   const RowSet& rows_of(size_t member) const { return member_rows_[member]; }
   const Status& error_of(size_t member) const {
@@ -517,120 +500,6 @@ std::vector<Result<Table>> ExecuteFusedMatch(
   std::vector<std::vector<FusedCondition>> slot_conditions;
   Status lifted = LiftConstants(*rm, members, &slot_conditions);
   if (!lifted.ok()) return fail_all(lifted);
-
-  if (options.shards > 1) {
-    // Scatter-gather over engine shards, mirroring the solo evaluator's
-    // sharded path: the top-level seed candidates are materialized in
-    // sequential enumeration order and partitioned by `ShardOfVertex`;
-    // each shard runs its own shared walk over its seeds (one fused
-    // traversal per shard), recording the row span every seed produced
-    // per member; the gather replays each member's spans in original
-    // seed order with global first-occurrence dedup (a concatenation
-    // when `seeds_disjoint`), so every member's table is byte-identical
-    // to the unsharded fused run — which is itself byte-identical to the
-    // member's solo run.
-    const size_t num_shards = options.shards;
-    const ResolvedPattern::Node& n0 =
-        rm->pattern.nodes[static_cast<size_t>(rm->plan[0].node_slot)];
-    std::vector<VertexId> seeds;
-    if (n0.has_type_constraint) {
-      seeds = graph.VerticesOfType(n0.type);
-    } else {
-      seeds.reserve(graph.NumLiveVertices());
-      for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-        if (graph.IsVertexLive(v)) seeds.push_back(v);
-      }
-    }
-    std::vector<std::vector<size_t>> shard_seeds(num_shards);
-    for (size_t i = 0; i < seeds.size(); ++i) {
-      shard_seeds[graph::ShardOfVertex(seeds[i], num_shards)].push_back(i);
-    }
-
-    // Sparse per-(member, seed) spans: most seeds emit nothing for most
-    // members, so only size changes are recorded.
-    struct MemberSpan {
-      uint32_t seed;
-      uint32_t shard;
-      size_t begin;
-      size_t end;
-    };
-    std::vector<std::vector<MemberSpan>> member_spans(members.size());
-    std::vector<std::unique_ptr<FusedMatchRunner>> runners(num_shards);
-    std::vector<size_t> prev_size(members.size());
-    bool expired = false;
-    for (size_t s = 0; s < num_shards && !expired; ++s) {
-      runners[s] = std::make_unique<FusedMatchRunner>(
-          graph, csr, *rm, slot_conditions, members.size(), options.max_rows,
-          options.deadline);
-      std::fill(prev_size.begin(), prev_size.end(), 0);
-      for (size_t i : shard_seeds[s]) {
-        if (runners[s]->all_members_failed()) break;
-        runners[s]->RunSeed(seeds[i]);
-        for (size_t m = 0; m < members.size(); ++m) {
-          const size_t sz = runners[s]->rows_of(m).size();
-          if (sz != prev_size[m]) {
-            member_spans[m].push_back(MemberSpan{
-                static_cast<uint32_t>(i), static_cast<uint32_t>(s),
-                prev_size[m], sz});
-            prev_size[m] = sz;
-          }
-        }
-        if (runners[s]->deadline_expired()) {
-          expired = true;
-          break;
-        }
-      }
-    }
-    if (stats != nullptr) {
-      for (const auto& r : runners) {
-        if (r == nullptr) continue;
-        stats->expansions += r->expansions();
-        stats->deadline_checks += r->deadline_checks();
-      }
-    }
-
-    const size_t width = rm->return_slots.size();
-    for (size_t m = 0; m < members.size(); ++m) {
-      // A member's own error (row limit) beats the group deadline,
-      // preferred in shard order so the outcome is deterministic.
-      Status member_error = Status::OK();
-      for (const auto& r : runners) {
-        if (r != nullptr && !r->error_of(m).ok()) {
-          member_error = r->error_of(m);
-          break;
-        }
-      }
-      if (!member_error.ok()) {
-        results.push_back(member_error);
-        continue;
-      }
-      if (expired) {
-        results.push_back(internal::DeadlineExceededError());
-        continue;
-      }
-      // Each seed lives in exactly one shard, so sorting by seed index
-      // recovers the sequential emission order.
-      std::sort(member_spans[m].begin(), member_spans[m].end(),
-                [](const MemberSpan& a, const MemberSpan& b) {
-                  return a.seed < b.seed;
-                });
-      RowSet merged(width, /*deduplicate=*/!rm->seeds_disjoint);
-      bool over_limit = false;
-      for (const MemberSpan& sp : member_spans[m]) {
-        merged.InsertRange(runners[sp.shard]->rows_of(m), sp.begin, sp.end);
-        over_limit = merged.size() > options.max_rows;
-        if (over_limit) break;
-      }
-      if (over_limit) {
-        results.push_back(
-            Status::ResourceExhausted("MATCH row limit exceeded"));
-        continue;
-      }
-      results.push_back(internal::RowSetToTable(rm->columns, merged));
-    }
-    finish_timing();
-    return results;
-  }
 
   FusedMatchRunner runner(graph, csr, *rm, std::move(slot_conditions),
                           members.size(), options.max_rows,

@@ -201,9 +201,8 @@ struct ResolvedMatch {
   /// parallel edges repeat a neighbor.
   bool rows_distinct = false;
   /// The top seed's slot is returned, so rows of different top seeds
-  /// differ in that column: the parallel and sharded merges concatenate
-  /// their per-block or per-seed row ranges instead of deduplicating
-  /// across them.
+  /// differ in that column: the parallel merge concatenates its
+  /// per-block row ranges instead of deduplicating across them.
   bool seeds_disjoint = false;
 };
 

@@ -325,9 +325,8 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Executor differential: the CSR-backed MATCH backend must return the
 // legacy evaluator's exact row set across randomized mutation sequences
-// (snapshot rebuilt after each delta batch), and parallel and sharded
-// execution must be byte-identical to sequential execution for every
-// query.
+// (snapshot rebuilt after each delta batch), and parallel execution
+// must be byte-identical to sequential execution for every query.
 // ---------------------------------------------------------------------------
 
 /// Query suite over the DeltaSchema: typed chains, untyped nodes,
@@ -353,7 +352,7 @@ const char* const kExecutorQueries[] = {
     "MATCH (u:User)-[:SUBMITS]->(j:Job) (j:Job)-[r*2..3]->(g) RETURN u, j, g",
     "MATCH (f:File)-[r*0..3]->(t:Task) RETURN f, t",
     // The top seed hidden: two users submitting one job repeat a row
-    // across seeds, which the parallel and sharded merges must drop.
+    // across seeds, which the parallel merge must drop.
     "MATCH (u:User)-[:SUBMITS]->(j:Job) RETURN j",
 };
 
@@ -399,10 +398,6 @@ TEST_P(DifferentialTest, CsrExecutorMatchesLegacyAcrossMutations) {
     query::ExecutorOptions parallel_opts;
     parallel_opts.parallelism = 4;
     query::QueryExecutor csr_par(&g, &csr, parallel_opts);
-    query::ExecutorOptions sharded_opts;
-    sharded_opts.shards = 2;
-    sharded_opts.parallelism = 2;
-    query::QueryExecutor csr_sharded(&g, &csr, sharded_opts);
     for (const char* text : kExecutorQueries) {
       auto expected = legacy.ExecuteText(text);
       ASSERT_TRUE(expected.ok()) << text << ": " << expected.status();
@@ -412,18 +407,14 @@ TEST_P(DifferentialTest, CsrExecutorMatchesLegacyAcrossMutations) {
       EXPECT_EQ(CanonicalRows(*expected), CanonicalRows(*sequential))
           << text << " diverged from legacy at step " << step << " (seed "
           << seed << (skewed ? ", skewed)" : ", uniform)");
-      for (auto* split : {&csr_par, &csr_sharded}) {
-        const char* name = split == &csr_par ? "parallel" : "sharded";
-        auto rows = split->ExecuteText(text);
-        ASSERT_TRUE(rows.ok()) << text << ": " << rows.status();
-        ASSERT_EQ(sequential->num_rows(), rows->num_rows())
-            << text << " (" << name << ")";
-        for (size_t r = 0; r < sequential->num_rows(); ++r) {
-          ASSERT_EQ(testutil::OwnedRow(sequential->rows()[r]),
-                    testutil::OwnedRow(rows->rows()[r]))
-              << text << " row " << r << " differs between sequential and "
-              << name << " at step " << step;
-        }
+      auto rows = csr_par.ExecuteText(text);
+      ASSERT_TRUE(rows.ok()) << text << ": " << rows.status();
+      ASSERT_EQ(sequential->num_rows(), rows->num_rows()) << text;
+      for (size_t r = 0; r < sequential->num_rows(); ++r) {
+        ASSERT_EQ(testutil::OwnedRow(sequential->rows()[r]),
+                  testutil::OwnedRow(rows->rows()[r]))
+            << text << " row " << r
+            << " differs between sequential and parallel at step " << step;
       }
     }
   }
@@ -707,9 +698,8 @@ std::vector<query::Query> WithConstants(
   return queries;
 }
 
-/// Runs `queries` as one fused group, unsharded and over two shards,
-/// and checks every member's table against its solo CSR run, row for
-/// row. Returns the solo row counts, so callers can check the group is
+/// Runs `queries` as one fused group and checks every member's table
+/// against its solo CSR run, row for row. Returns the solo row counts, so callers can check the group is
 /// not trivially empty.
 std::vector<size_t> ExpectFusedEqualsSolo(
     const PropertyGraph& g, const std::vector<query::Query>& queries) {
@@ -726,20 +716,15 @@ std::vector<size_t> ExpectFusedEqualsSolo(
     counts.push_back(table->num_rows());
     expected.push_back(std::move(*table));
   }
-  for (size_t shards : {size_t{1}, size_t{2}}) {
-    query::ExecutorOptions options;
-    options.shards = shards;
-    auto fused = query::ExecuteFusedMatch(g, csr, members, options);
-    EXPECT_EQ(fused.size(), members.size());
-    if (fused.size() != members.size()) return {};
-    for (size_t m = 0; m < members.size(); ++m) {
-      const std::string context = "member " + std::to_string(m) + " (" +
-                                  queries[m].ToString() + "), " +
-                                  std::to_string(shards) + " shard(s)";
-      EXPECT_TRUE(fused[m].ok()) << context << ": " << fused[m].status();
-      if (!fused[m].ok()) continue;
-      ExpectTablesIdentical(expected[m], *fused[m], context);
-    }
+  auto fused = query::ExecuteFusedMatch(g, csr, members, {});
+  EXPECT_EQ(fused.size(), members.size());
+  if (fused.size() != members.size()) return {};
+  for (size_t m = 0; m < members.size(); ++m) {
+    const std::string context =
+        "member " + std::to_string(m) + " (" + queries[m].ToString() + ")";
+    EXPECT_TRUE(fused[m].ok()) << context << ": " << fused[m].status();
+    if (!fused[m].ok()) continue;
+    ExpectTablesIdentical(expected[m], *fused[m], context);
   }
   return counts;
 }

@@ -1003,8 +1003,7 @@ TEST(ResolveMatchTest, RowFlagsFollowThePlan) {
     EXPECT_EQ(rm->rows_distinct, c.rows_distinct) << c.text;
     EXPECT_EQ(rm->seeds_disjoint, c.seeds_disjoint) << c.text;
     // Whatever the flags, every CSR execution mode returns the oracle's
-    // rows, each once, and the parallel and sharded ones in sequential
-    // order.
+    // rows, each once, and the parallel one in sequential order.
     QueryExecutor legacy(&g);
     auto want = legacy.Execute(*q);
     ASSERT_TRUE(want.ok()) << c.text;
@@ -1014,16 +1013,13 @@ TEST(ResolveMatchTest, RowFlagsFollowThePlan) {
     ASSERT_TRUE(got.ok()) << c.text;
     EXPECT_EQ(testutil::CanonicalRows(*got), testutil::CanonicalRows(*want))
         << c.text;
-    for (size_t shards : {size_t{1}, size_t{2}}) {
-      ExecutorOptions opts;
-      opts.parallelism = 4;
-      opts.shards = shards;
-      QueryExecutor split(&g, &csr, opts);
-      auto split_rows = split.Execute(*q);
-      ASSERT_TRUE(split_rows.ok()) << c.text;
-      EXPECT_EQ(testutil::OwnedRows(*split_rows), testutil::OwnedRows(*got))
-          << c.text << " at shards " << shards;
-    }
+    ExecutorOptions opts;
+    opts.parallelism = 4;
+    QueryExecutor split(&g, &csr, opts);
+    auto split_rows = split.Execute(*q);
+    ASSERT_TRUE(split_rows.ok()) << c.text;
+    EXPECT_EQ(testutil::OwnedRows(*split_rows), testutil::OwnedRows(*got))
+        << c.text;
   }
 }
 

@@ -2,7 +2,7 @@
 // double, string, bool and null properties, and random stacks of one to
 // three SELECT layers (WHERE, GROUP BY of 0-3 refs, COUNT(*), COUNT,
 // SUM, AVG, MIN, MAX and plain items) over a random MATCH. On every MATCH
-// backend (legacy, CSR, parallel CSR, sharded CSR) the executor's answer
+// backend (legacy, CSR, parallel CSR) the executor's answer
 // must equal the answer of the reference evaluator below run over that
 // backend's own MATCH rows: same columns, same rows in the same order,
 // same value types. The reference is written for clarity, not speed:
@@ -375,13 +375,10 @@ TEST(SelectDifferentialTest, ExecutorMatchesReferenceOnEveryBackend) {
     const CsrGraph csr = CsrGraph::Build(g);
     ExecutorOptions par4;
     par4.parallelism = 4;
-    ExecutorOptions shards2;
-    shards2.shards = 2;
     std::pair<const char*, QueryExecutor> backends[] = {
         {"legacy", QueryExecutor(&g)},
         {"csr", QueryExecutor(&g, &csr)},
         {"csr parallelism=4", QueryExecutor(&g, &csr, par4)},
-        {"csr shards=2", QueryExecutor(&g, &csr, shards2)},
     };
     for (int i = 0; i < kQueriesPerGraph; ++i) {
       const char* match_text = kMatches[rng() % std::size(kMatches)];

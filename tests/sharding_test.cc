@@ -1,7 +1,7 @@
-// Sharded execution (EngineOptions::shards >= 2): the scatter-gather
-// MATCH layer must return tables byte-identical to the unsharded run
-// (row order included) for the solo, parallel, and fused CSR backends
-// across mutation streams; the per-shard SegmentStore snapshot pipeline
+// Sharded snapshot pipeline (EngineOptions::shards >= 2): a sharded
+// engine must return tables byte-identical to an unsharded one (row
+// order included, traversal expansions equal) for solo, parallel, and
+// fused queries across mutation streams; the per-shard SegmentStore
 // must stay exact against fresh builds and the one-shard store at every
 // prefix; and concurrent snapshot refreshes on disjoint shards (and of
 // one view) interleaved with readers must be race-free (this suite runs
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,7 +23,6 @@
 #include "graph/csr.h"
 #include "graph/delta.h"
 #include "graph/property_graph.h"
-#include "query/executor.h"
 #include "table_test_util.h"
 
 namespace kaskade {
@@ -99,132 +99,88 @@ GraphDelta RandomBatch(const PropertyGraph& g, std::mt19937_64* rng,
 }
 
 // ---------------------------------------------------------------------------
-// Executor scatter-gather: sharded output is byte-identical (row order
-// included) to the unsharded table for the solo and parallel backends.
+// Engine end to end: a sharded engine (per-shard snapshot pipeline,
+// sequential and block-parallel MATCH, fused batch path included)
+// returns tables byte-identical to an unsharded sequential engine fed
+// the same mutation stream, at the same traversal cost.
 // ---------------------------------------------------------------------------
 
-TEST(ShardingTest, ShardedBackendsMatchUnshardedAcrossMutations) {
-  PropertyGraph g = MakeShardableGraph();
-  std::mt19937_64 rng(77);
-  std::vector<EdgeId> live;
-  for (EdgeId e = 0; e < static_cast<EdgeId>(g.NumEdges()); ++e) {
-    live.push_back(e);
-  }
-
-  constexpr int kSteps = 5;
-  for (int step = 0; step < kSteps; ++step) {
-    if (step > 0) {
-      GraphDelta delta = RandomBatch(g, &rng, &live);
-      auto applied = graph::ApplyDeltaToGraph(&g, delta);
-      ASSERT_TRUE(applied.ok()) << applied.status();
-      for (EdgeId e : applied->new_edges) live.push_back(e);
-    }
-    CsrGraph csr = CsrGraph::Build(g);
-    query::QueryExecutor oracle(&g, &csr);  // shards = 1, sequential
-    for (const char* text : kShardQueries) {
-      auto expected = oracle.ExecuteText(text);
-      ASSERT_TRUE(expected.ok()) << text << ": " << expected.status();
-      for (size_t shards : {2u, 4u}) {
-        for (size_t workers : {1u, 4u}) {
-          query::ExecutorOptions opts;
-          opts.shards = shards;
-          opts.parallelism = workers;
-          query::QueryExecutor sharded(&g, &csr, opts);
-          auto got = sharded.ExecuteText(text);
-          ASSERT_TRUE(got.ok()) << text << ": " << got.status();
-          ASSERT_EQ(expected->num_rows(), got->num_rows())
-              << text << " shards=" << shards << " workers=" << workers
-              << " step " << step;
-          for (size_t r = 0; r < expected->num_rows(); ++r) {
-            ASSERT_EQ(testutil::OwnedRow(expected->rows()[r]),
-                      testutil::OwnedRow(got->rows()[r]))
-                << text << " row " << r << " shards=" << shards
-                << " workers=" << workers << " step " << step;
-          }
-        }
-      }
-    }
+/// Rows in order, and the traversal expansions that produced them.
+void ExpectSameResult(const Result<core::ExecutionResult>& expected,
+                      const Result<core::ExecutionResult>& got,
+                      const std::string& context) {
+  ASSERT_TRUE(expected.ok()) << context << ": " << expected.status();
+  ASSERT_TRUE(got.ok()) << context << ": " << got.status();
+  EXPECT_EQ(expected->expansions, got->expansions) << context;
+  ASSERT_EQ(expected->table.num_rows(), got->table.num_rows()) << context;
+  for (size_t r = 0; r < expected->table.num_rows(); ++r) {
+    ASSERT_EQ(testutil::OwnedRow(expected->table.rows()[r]),
+              testutil::OwnedRow(got->table.rows()[r]))
+        << context << " row " << r;
   }
 }
 
-// ---------------------------------------------------------------------------
-// Engine end to end: a sharded engine (per-shard snapshot pipeline +
-// scatter-gather MATCH, fused batch path included) returns tables
-// byte-identical to an unsharded engine fed the same mutation stream.
-// ---------------------------------------------------------------------------
-
 TEST(ShardingTest, EngineShardedMatchesUnshardedWithFusion) {
   for (size_t shards : {2u, 4u}) {
-    Engine baseline(MakeShardableGraph());
-    EngineOptions sharded_opts;
-    sharded_opts.shards = shards;
-    sharded_opts.executor.parallelism = 2;
-    Engine sharded(MakeShardableGraph(), sharded_opts);
+    for (size_t parallelism : {1u, 4u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " parallelism=" + std::to_string(parallelism));
+      Engine baseline(MakeShardableGraph());
+      EngineOptions sharded_opts;
+      sharded_opts.shards = shards;
+      sharded_opts.executor.parallelism = parallelism;
+      Engine sharded(MakeShardableGraph(), sharded_opts);
 
-    std::mt19937_64 rng(913 + shards);
-    // Only edges this stream inserted are removable, and inserts
-    // cluster into the first segment's id window, so each batch
-    // dirties one segment and the rest stay refcount-shared — the
-    // workload shape the telemetry assertions below measure.
-    std::vector<EdgeId> live;
-    // Same-shape batch members (only constants differ) so the fused
-    // path groups them.
-    const std::vector<std::string> fused_batch = {
-        "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 4 RETURN j, f",
-        "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 8 RETURN j, f",
-        "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 16 RETURN j, f",
-    };
+      std::mt19937_64 rng(913 + shards);
+      // Only edges this stream inserted are removable, and inserts
+      // cluster into the first segment's id window, so each batch
+      // dirties one segment and the rest stay refcount-shared — the
+      // workload shape the telemetry assertions below measure.
+      std::vector<EdgeId> live;
+      // Same-shape batch members (only constants differ) so the fused
+      // path groups them.
+      const std::vector<std::string> fused_batch = {
+          "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 4 RETURN j, f",
+          "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 8 RETURN j, f",
+          "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 16 RETURN j, f",
+      };
 
-    constexpr int kSteps = 4;
-    for (int step = 0; step < kSteps; ++step) {
-      if (step > 0) {
-        GraphDelta delta =
-            RandomBatch(baseline.base_graph(), &rng, &live,
-                        static_cast<VertexId>(graph::kCsrSegmentVertices));
-        auto a = baseline.ApplyDelta(delta);
-        ASSERT_TRUE(a.ok()) << a.status();
-        auto b = sharded.ApplyDelta(delta);
-        ASSERT_TRUE(b.ok()) << b.status();
-        for (EdgeId e : a->new_edges) live.push_back(e);
-      }
-      for (const char* text : kShardQueries) {
-        auto expected = baseline.Execute(text);
-        ASSERT_TRUE(expected.ok()) << text << ": " << expected.status();
-        auto got = sharded.Execute(text);
-        ASSERT_TRUE(got.ok()) << text << ": " << got.status();
-        ASSERT_EQ(expected->table.num_rows(), got->table.num_rows())
-            << text << " shards=" << shards << " step " << step;
-        for (size_t r = 0; r < expected->table.num_rows(); ++r) {
-          ASSERT_EQ(testutil::OwnedRow(expected->table.rows()[r]),
-                    testutil::OwnedRow(got->table.rows()[r]))
-              << text << " row " << r << " shards=" << shards << " step "
-              << step;
+      constexpr int kSteps = 4;
+      for (int step = 0; step < kSteps; ++step) {
+        if (step > 0) {
+          GraphDelta delta =
+              RandomBatch(baseline.base_graph(), &rng, &live,
+                          static_cast<VertexId>(graph::kCsrSegmentVertices));
+          auto a = baseline.ApplyDelta(delta);
+          ASSERT_TRUE(a.ok()) << a.status();
+          auto b = sharded.ApplyDelta(delta);
+          ASSERT_TRUE(b.ok()) << b.status();
+          for (EdgeId e : a->new_edges) live.push_back(e);
+        }
+        const std::string at_step = " step " + std::to_string(step);
+        for (const char* text : kShardQueries) {
+          ExpectSameResult(baseline.Execute(text), sharded.Execute(text),
+                           text + at_step);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        auto expected_batch = baseline.ExecuteBatch(fused_batch);
+        auto got_batch = sharded.ExecuteBatch(fused_batch);
+        ASSERT_EQ(expected_batch.size(), got_batch.size());
+        for (size_t m = 0; m < expected_batch.size(); ++m) {
+          ExpectSameResult(expected_batch[m], got_batch[m],
+                           "member " + std::to_string(m) + at_step);
+          if (::testing::Test::HasFatalFailure()) return;
         }
       }
-      auto expected_batch = baseline.ExecuteBatch(fused_batch);
-      auto got_batch = sharded.ExecuteBatch(fused_batch);
-      ASSERT_EQ(expected_batch.size(), got_batch.size());
-      for (size_t m = 0; m < expected_batch.size(); ++m) {
-        ASSERT_TRUE(expected_batch[m].ok()) << expected_batch[m].status();
-        ASSERT_TRUE(got_batch[m].ok()) << got_batch[m].status();
-        ASSERT_EQ(expected_batch[m]->table.num_rows(),
-                  got_batch[m]->table.num_rows())
-            << "member " << m << " shards=" << shards;
-        for (size_t r = 0; r < expected_batch[m]->table.num_rows(); ++r) {
-          ASSERT_EQ(testutil::OwnedRow(expected_batch[m]->table.rows()[r]),
-                    testutil::OwnedRow(got_batch[m]->table.rows()[r]))
-              << "member " << m << " row " << r << " shards=" << shards;
-        }
-      }
+      // The sharded pipeline actually ran: per-shard writer-lock
+      // counters exist and segments were shared across refreshes.
+      core::EngineTelemetry t = sharded.TelemetrySnapshot();
+      EXPECT_EQ(t.shard_writer_acquisitions.size(), shards);
+      EXPECT_GT(t.patch_segments_shared, 0u);
+      uint64_t acquisitions = 0;
+      for (uint64_t a : t.shard_writer_acquisitions) acquisitions += a;
+      EXPECT_GT(acquisitions, 0u);
     }
-    // The sharded pipeline actually ran: per-shard writer-lock counters
-    // exist and segments were shared across refreshes.
-    core::EngineTelemetry t = sharded.TelemetrySnapshot();
-    EXPECT_EQ(t.shard_writer_acquisitions.size(), shards);
-    EXPECT_GT(t.patch_segments_shared, 0u);
-    uint64_t acquisitions = 0;
-    for (uint64_t a : t.shard_writer_acquisitions) acquisitions += a;
-    EXPECT_GT(acquisitions, 0u);
   }
 }
 
